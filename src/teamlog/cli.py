@@ -2,7 +2,8 @@
 
 Machine-readable JSON on stdout by default (``--pretty`` for humans);
 exit codes: 0 satisfied/ok, 1 not satisfied/unsatisfiable, 2 usage or
-parse error, 3 resource guard, 4 search budget exhausted.
+parse error, 3 resource guard, 4 search budget exhausted, 5 internal
+error (an unexpected exception, or a SAT witness that fails its re-check).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import __version__
 from .errors import (
@@ -19,7 +21,7 @@ from .errors import (
     ResourceBoundError,
     TeamlogError,
 )
-from .formulas import parse_formula, render_formula
+from .formulas import is_split_free, parse_formula, render_formula
 from .modelcheck import mc
 from .reductions import SetSplittingInstance, dep_to_indep, setsplit_to_pinc_mc
 from .sat import (
@@ -30,7 +32,7 @@ from .sat import (
     sat_singleton,
     sat_split_free,
 )
-from .semantics import SemanticsMode, evaluate
+from .semantics import DEFAULT_ENUMERATION_CAP, SemanticsMode, evaluate
 from .structure import (
     build_gaifman,
     decomposition_to_object,
@@ -46,6 +48,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 def _read(path: str) -> str:
@@ -104,7 +107,14 @@ def _cmd_sat(args) -> int:
         result = sat_split_free(formula)
     payload: dict = {"status": result.status.value}
     if result.witness is not None:
-        assert evaluate(result.witness, formula, mode), "witness failed re-check"
+        # A split-free formula needs no split enumeration, so its re-check
+        # is linear in the witness and needs no cap.
+        cap = (len(result.witness) if is_split_free(formula)
+               else DEFAULT_ENUMERATION_CAP)
+        if not evaluate(result.witness, formula, mode, cap=cap):
+            print(f"internal error: the {args.algo} witness fails its re-check",
+                  file=sys.stderr)
+            return EXIT_INTERNAL
         payload["witness"] = team_to_object(result.witness)
     _emit(args, _report(args, payload, args.algo, started))
     if result.status is SatStatus.SATISFIABLE:
@@ -261,6 +271,11 @@ def main(argv=None) -> int:
     except (TeamlogError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # Any other exception is a fault of the program, never an answer.
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -68,8 +68,10 @@ class SatResult:
 
     def __post_init__(self):
         if self.witness is not None:
-            assert self.status is SatStatus.SATISFIABLE
-            assert len(self.witness) > 0
+            if self.status is not SatStatus.SATISFIABLE:
+                raise ValueError(f"a {self.status.value} result has no witness")
+            if len(self.witness) == 0:
+                raise ValueError("a satisfiability witness must be nonempty")
 
 
 def _all_rows(n: int) -> list[tuple[int, ...]]:
@@ -220,7 +222,8 @@ class _FixpointSearch:
                 frozenset([i]) for i, row in enumerate(self.rows)
                 if row[col] == want
             ]
-        assert isinstance(atom, Inc)
+        if not isinstance(atom, Inc):
+            raise TypeError(f"not an atom of inclusion logic: {atom!r}")
         # One row per y-value class: the bounded guesses the correctness
         # argument needs (at most 2^arity rows).
         yi = [self.var_index[v] for v in atom.ys]

@@ -109,12 +109,42 @@ def eval_atom(team: Team, atom: Formula) -> bool:
     raise TypeError(f"not an atomic formula: {atom!r}")
 
 
+def _submasks(mask: int) -> list[int]:
+    """Every submask of ``mask``, the empty mask first."""
+    out = [0]
+    while mask:
+        low = mask & -mask
+        out += [m | low for m in out]
+        mask ^= low
+    return out
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _class_masks(codes, rows) -> dict[tuple, int]:
+    """Row bitmask of each value that ``codes`` takes on ``rows``."""
+    out: dict[tuple, int] = {}
+    for j in rows:
+        out[codes[j]] = out.get(codes[j], 0) | 1 << j
+    return out
+
+
 class TeamEvaluator:
     """Recursive evaluator over subteams of a fixed row set.
 
     Subteams are bitmasks over the row order; results are memoized per
     (node, mask) so repeated queries (split enumeration, SAT scans over
-    many candidate teams) stay cheap.
+    many candidate teams) stay cheap.  :meth:`atom_table` gives all
+    satisfying subteams of an atom at once, from the same per-row atom
+    data, for the bottom-up tables.
     """
 
     def __init__(self, domain: tuple[str, ...], rows, formula: Formula,
@@ -192,6 +222,70 @@ class TeamEvaluator:
             if any((a, b) not in pairs for a in xv for b in yv):
                 return False
         return True
+
+    def atom_table(self, node: Formula) -> frozenset[int]:
+        """Every subteam of the row set, as a bitmask, that satisfies the
+        atom ``node`` (a literal, constant or dependency atom).
+
+        Each atom kind is decided on row masks per atom value, so the
+        cost follows the number of masks and atom values, with no loop
+        over the rows of each mask.
+        """
+        full = (1 << len(self.rows)) - 1
+        if isinstance(node, Top):
+            return frozenset(range(full + 1))
+        if isinstance(node, Bot):
+            return frozenset([0])
+        data = self._atom(node)
+        tag = data[0]
+        if tag == "lit":
+            return frozenset(_submasks(full & ~data[1]))
+        rows = range(len(self.rows))
+        if tag == "dep":
+            # Within one x-class every row must share its y-value: pick
+            # nothing, or a nonempty part of one y-class, per x-class.
+            _, xc, yc = data
+            masks = [0]
+            for xmask in _class_masks(xc, rows).values():
+                options = [0]
+                for ymask in _class_masks(yc, _bits(xmask)).values():
+                    options += _submasks(ymask)[1:]
+                masks = [m | o for m in masks for o in options]
+            return frozenset(masks)
+        if tag == "inc":
+            # m satisfies the atom iff m meets Y_v wherever it meets X_v.
+            _, xc, yc = data
+            ycls = _class_masks(yc, rows)
+            allowed = full
+            needs = []
+            for value, xmask in _class_masks(xc, rows).items():
+                ymask = ycls.get(value, 0)
+                if not ymask:
+                    allowed &= ~xmask
+                elif xmask & ~ymask:
+                    needs.append((xmask, ymask))
+            masks = _submasks(allowed)
+            for xmask, ymask in needs:
+                masks = [m for m in masks if not m & xmask or m & ymask]
+            return frozenset(masks)
+        # Independence: in each z-class, a mask that meets the rows with
+        # x-value a and the rows with y-value b must meet their common rows.
+        _, xc, yc, zc = data
+        xyc = list(zip(xc, yc))
+        needs = []
+        for zmask in _class_masks(zc, rows).values():
+            members = _bits(zmask)
+            xycls = _class_masks(xyc, members)
+            ycls = _class_masks(yc, members)
+            for a, amask in _class_masks(xc, members).items():
+                for b, bmask in ycls.items():
+                    both = xycls.get((a, b), 0)
+                    if both != amask and both != bmask:
+                        needs.append((amask, bmask, both))
+        masks = _submasks(full)
+        for amask, bmask, both in needs:
+            masks = [m for m in masks if not (m & amask and m & bmask) or m & both]
+        return frozenset(masks)
 
     def check(self, node: Formula, mask: int) -> bool:
         key = (id(node), mask)

@@ -4,14 +4,17 @@ import json
 
 import pytest
 
+from teamlog import Team, cli
 from teamlog.cli import (
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
     main,
 )
+from teamlog.sat import SatResult, SatStatus
 
 from conftest import EXAMPLE_FORMULA_TEXT, EXAMPLE_TEAM_TEXT
 
@@ -76,6 +79,16 @@ class TestMc:
         code, _ = run(capsys, "mc", f, t)
         assert code == EXIT_RESOURCE
 
+    def test_crash_is_internal_error_not_negative(self, files, capsys):
+        # nesting deeper than the recursion limit must not exit 1
+        f = files("f.tl", "(" * 1100 + "x1" + ")" * 1100)
+        t = files("t.team", "x1\n1\n")
+        code = main(["mc", f, t])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        assert "internal error" in captured.err
+
 
 class TestSat:
     def test_brute_with_witness(self, files, capsys):
@@ -91,6 +104,25 @@ class TestSat:
         assert code == EXIT_NEGATIVE
         assert report["result"]["status"] == "unsatisfiable"
         assert "witness" not in report["result"]
+
+    def test_splitfree_witness_beyond_enumeration_cap(self, files, capsys):
+        # the witness has 64 rows; its re-check must not hit the 16-row cap
+        f = files("f.tl", "inc(x1; x2) & inc(x3; x4) & inc(x5; x6)")
+        code, report = run(capsys, "sat", f, "--algo", "splitfree")
+        assert code == EXIT_OK
+        assert report["result"]["status"] == "satisfiable"
+        assert len(report["result"]["witness"]["rows"]) == 64
+
+    def test_failed_witness_recheck_is_internal_error(self, files, capsys,
+                                                      monkeypatch):
+        wrong = SatResult(SatStatus.SATISFIABLE, Team(("x",), ((0,),)))
+        monkeypatch.setattr(cli, "sat_split_free", lambda formula: wrong)
+        f = files("f.tl", "x")
+        code = main(["sat", f, "--algo", "splitfree"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        assert "re-check" in captured.err
 
     def test_singleton_on_inclusion_logic_exit_two(self, files, capsys):
         f = files("f.tl", "inc(x; y)")

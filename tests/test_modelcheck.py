@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 
 from teamlog import (
     And,
+    Bot,
     EnumerationCapError,
+    Indep,
     LogicKind,
+    Not,
+    Or,
     Team,
+    Top,
     evaluate,
     mc,
     mc_bottom_up,
@@ -24,13 +29,33 @@ from teamlog.reductions import (
     random_formula,
     setsplit_to_pinc_mc,
 )
-from teamlog.semantics import SemanticsMode
+from teamlog.semantics import SemanticsMode, eval_atom
 from teamlog.formulas import subformulas
 
 from conftest import all_teams, random_team
 
 STRICT = SemanticsMode.STRICT
 LAX = SemanticsMode.LAX
+
+
+def reference_table(team, f, mode):
+    """Satisfying subteams per node, by evaluating every mask's subteam
+    and joining splits pairwise; keyed by node identity."""
+    all_masks = range(1 << len(team))
+    sets = {}
+    for node in reversed(subformulas(f)):
+        if isinstance(node, And):
+            masks = sets[id(node.left)] & sets[id(node.right)]
+        elif isinstance(node, Or):
+            left, right = sets[id(node.left)], sets[id(node.right)]
+            masks = frozenset(m1 | m2 for m1 in left for m2 in right
+                              if mode is LAX or m1 & m2 == 0)
+        else:
+            masks = frozenset(
+                m for m in all_masks if eval_atom(team.subteam_mask(m), node)
+            )
+        sets[id(node)] = masks
+    return sets
 
 
 class TestBottomUp:
@@ -79,6 +104,34 @@ class TestBottomUp:
         lax_table = build_sat_table(t, f, LAX)
         assert full not in strict_table.masks_for(f)
         assert full in lax_table.masks_for(f)
+
+
+class TestTableOracle:
+    def test_every_node_matches_reference(self):
+        domain = ("x1", "x2", "x3", "x4")
+        seen = set()
+        checked = 0
+        for seed in range(240):
+            logic = list(LogicKind)[seed % 4]
+            f = random_formula(RandomFormulaConfig(
+                logic=logic, max_vars=4, max_nodes=11, max_arity=2, seed=seed
+            ))
+            rng = random.Random(seed)
+            size = seed % 9
+            t = random_team(rng, domain, max_rows=size, min_rows=size)
+            for mode in (STRICT, LAX):
+                table = build_sat_table(t, f, mode)
+                ref = reference_table(t, f, mode)
+                assert len(table.entries) == len(ref)
+                for node, masks in table.entries:
+                    assert masks == ref[id(node)], (seed, mode, node, t.rows)
+                    checked += 1
+            for node in subformulas(f):
+                seen.add(type(node))
+                if isinstance(node, Indep) and node.zs:
+                    seen.add("indep with z")
+        assert {Top, Bot, Not, Or, "indep with z"} <= seen
+        assert checked > 1000
 
 
 class TestDispatch:

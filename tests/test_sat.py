@@ -41,11 +41,11 @@ def assert_verified(result: SatResult, f, mode):
 class TestSatResult:
     def test_witness_requires_satisfiable(self):
         t = Team(("x",), ((1,),))
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             SatResult(UNSAT, t)
 
     def test_witness_must_be_nonempty(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             SatResult(SAT, Team(("x",), ()))
 
 
