@@ -98,7 +98,8 @@ def _cmd_sat(args) -> int:
     mode = _mode(args.semantics)
     budget = args.budget if args.budget is not None else _default_budget()
     if args.algo == "brute":
-        result = sat_brute(formula, mode, max_vars=args.max_vars)
+        result = sat_brute(formula, mode, max_vars=args.max_vars,
+                           budget=budget)
     elif args.algo == "singleton":
         result = sat_singleton(formula)
     elif args.algo == "fixpoint":

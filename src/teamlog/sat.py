@@ -37,7 +37,7 @@ from .formulas import (
     logic_kind,
     variables,
 )
-from .semantics import SemanticsMode, TeamEvaluator, eval_atom, eval_inc, evaluate
+from .semantics import SemanticsMode, TeamEvaluator, _bits, eval_inc, evaluate
 from .teams import Team
 
 __all__ = [
@@ -81,23 +81,44 @@ def _all_rows(n: int) -> list[tuple[int, ...]]:
     ]
 
 
+def _team(vs: tuple[str, ...], rows: list, mask: int) -> Team:
+    """The team of the rows that ``mask`` selects."""
+    return Team(vs, tuple(rows[i] for i in _bits(mask)))
+
+
+class _Budget:
+    def __init__(self, limit: int):
+        self.left = limit
+
+    def spend(self, amount: int = 1) -> None:
+        self.left -= amount
+        if self.left < 0:
+            raise ResourceBoundError("search budget exhausted")
+
+
 def sat_brute(f: Formula, mode: SemanticsMode,
-              max_vars: int = DEFAULT_BRUTE_MAX_VARS) -> SatResult:
+              max_vars: int = DEFAULT_BRUTE_MAX_VARS,
+              budget: int = DEFAULT_FIXPOINT_BUDGET) -> SatResult:
     """Enumerate all nonempty teams over VAR(f) in canonical order.
 
     Teams are subsets of the assignment list encoded as bitmasks and
     scanned in increasing mask order, so singletons come first and the
-    returned witness is the canonically least satisfying team.
+    returned witness is the canonically least satisfying team.  Each
+    candidate team spends one unit of ``budget``.
     """
     vs = variables(f)
     if len(vs) > max_vars:
         return SatResult(SatStatus.RESOURCE_EXHAUSTED)
     rows = _all_rows(len(vs))
     ev = TeamEvaluator(vs, rows, f, mode)
-    for mask in range(1, 1 << len(rows)):
-        if ev.check(f, mask):
-            picked = [rows[i] for i in range(len(rows)) if mask >> i & 1]
-            return SatResult(SatStatus.SATISFIABLE, Team(vs, tuple(picked)))
+    spent = _Budget(budget)
+    try:
+        for mask in range(1, 1 << len(rows)):
+            spent.spend()
+            if ev.check(f, mask):
+                return SatResult(SatStatus.SATISFIABLE, _team(vs, rows, mask))
+    except ResourceBoundError:
+        return SatResult(SatStatus.RESOURCE_EXHAUSTED)
     return SatResult(SatStatus.UNSATISFIABLE)
 
 
@@ -121,6 +142,14 @@ def sat_singleton(f: Formula) -> SatResult:
     return SatResult(SatStatus.UNSATISFIABLE)
 
 
+def _mirrored(row: tuple, pairs) -> tuple:
+    """``row`` with the value at each ``src`` position copied to ``dst``."""
+    t = list(row)
+    for src, dst in pairs:
+        t[dst] = row[src]
+    return tuple(t)
+
+
 def repair_inclusion(team: Team, atom: Inc) -> Team:
     """Extend ``team`` to satisfy ``atom`` by mirroring each row's
     x-value into the y-positions; at most one row is added per input
@@ -131,14 +160,8 @@ def repair_inclusion(team: Team, atom: Inc) -> Team:
     """
     if eval_inc(team, atom.xs, atom.ys):
         return team
-    xi = [team.index(v) for v in atom.xs]
-    yi = [team.index(v) for v in atom.ys]
-    rows = set(team.rows)
-    for row in team.rows:
-        t = list(row)
-        for src, dst in zip(xi, yi):
-            t[dst] = row[src]
-        rows.add(tuple(t))
+    pairs = [(team.index(x), team.index(y)) for x, y in zip(atom.xs, atom.ys)]
+    rows = set(team.rows) | {_mirrored(row, pairs) for row in team.rows}
     repaired = Team(team.domain, tuple(rows))
     if not eval_inc(repaired, atom.xs, atom.ys):
         raise RepairError(
@@ -153,16 +176,6 @@ def repair_inclusion(team: Team, atom: Inc) -> Team:
 
 class _Reject(Exception):
     pass
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self, amount: int = 1) -> None:
-        self.left -= amount
-        if self.left < 0:
-            raise ResourceBoundError("fixpoint search budget exhausted")
 
 
 class _Node:
@@ -195,6 +208,9 @@ def _build_nodes(f: Formula) -> list[_Node]:
 
 
 class _FixpointSearch:
+    """Per-node states are row bitmasks over all assignments to VAR(f),
+    and every atom check goes through one evaluator over those rows."""
+
     def __init__(self, f: Formula, mode: SemanticsMode, budget: _Budget,
                  repair_log: Optional[list]):
         self.mode = mode
@@ -204,57 +220,54 @@ class _FixpointSearch:
         self.vars = variables(f)
         self.rows = _all_rows(len(self.vars))
         self.nodes = _build_nodes(f)
-        self.var_index = {v: i for i, v in enumerate(self.vars)}
+        self.ev = TeamEvaluator(self.vars, self.rows, f, mode)
+        self._mirrors: dict[int, list[int]] = {}
 
     # -- initial guesses ----------------------------------------------------
 
-    def _atom_candidates(self, atom: Formula) -> list[frozenset[int]]:
-        empty = frozenset()
-        if isinstance(atom, Bot):
-            return [empty]
-        if isinstance(atom, Top):
-            return [empty] + [frozenset([i]) for i in range(len(self.rows))]
-        if isinstance(atom, (VarRef, Not)):
-            name = atom.name if isinstance(atom, VarRef) else atom.child.name
-            want = 1 if isinstance(atom, VarRef) else 0
-            col = self.var_index[name]
-            return [empty] + [
-                frozenset([i]) for i, row in enumerate(self.rows)
-                if row[col] == want
-            ]
+    def _atom_candidates(self, atom: Formula) -> list[int]:
         if not isinstance(atom, Inc):
-            raise TypeError(f"not an atom of inclusion logic: {atom!r}")
+            # The empty team or one row that satisfies the literal.
+            return [0] + [1 << i for i in range(len(self.rows))
+                          if self.ev.check(atom, 1 << i)]
         # One row per y-value class: the bounded guesses the correctness
         # argument needs (at most 2^arity rows).
-        yi = [self.var_index[v] for v in atom.ys]
-        classes: dict[tuple, list[int]] = {}
-        for i, row in enumerate(self.rows):
-            classes.setdefault(tuple(row[j] for j in yi), []).append(i)
-        picks = [[None] + members for members in classes.values()]
-        cands = []
-        for combo in itertools.product(*picks):
-            cands.append(frozenset(i for i in combo if i is not None))
-        cands.sort(key=lambda s: (len(s), sorted(s)))
+        picks = [[0] + [1 << i for i in _bits(ymask)]
+                 for ymask in self.ev.value_masks(atom.ys).values()]
+        cands = [sum(combo) for combo in itertools.product(*picks)]
+        cands.sort(key=lambda m: (m.bit_count(), _bits(m)))
         return cands
 
     # -- rounds -------------------------------------------------------------
 
-    def _repair_atom(self, atom: Formula, rows: frozenset[int]) -> frozenset[int]:
-        team = Team(self.vars, tuple(self.rows[i] for i in sorted(rows)))
-        if isinstance(atom, Inc):
-            try:
-                repaired = repair_inclusion(team, atom)
-            except RepairError:
+    def _mirror(self, atom: Inc) -> list[int]:
+        """Per row, the index of the row with its x-value copied into the
+        y-positions."""
+        mirror = self._mirrors.get(id(atom))
+        if mirror is None:
+            index = {v: i for i, v in enumerate(self.vars)}
+            pairs = [(index[x], index[y]) for x, y in zip(atom.xs, atom.ys)]
+            position = {row: i for i, row in enumerate(self.rows)}
+            mirror = [position[_mirrored(row, pairs)] for row in self.rows]
+            self._mirrors[id(atom)] = mirror
+        return mirror
+
+    def _repair_atom(self, atom: Formula, rows: int) -> int:
+        if not isinstance(atom, Inc):
+            if not self.ev.check(atom, rows):
                 raise _Reject
-            if self.repair_log is not None:
-                self.repair_log.append((len(team), len(repaired)))
-            if repaired is team:
-                return rows
-            row_pos = {row: i for i, row in enumerate(self.rows)}
-            return frozenset(row_pos[r] for r in repaired.rows)
-        if not eval_atom(team, atom):
-            raise _Reject
-        return rows
+            return rows
+        # One pass of the mirror rule, as in :func:`repair_inclusion`.
+        repaired = rows
+        if not self.ev.check(atom, rows):
+            mirror = self._mirror(atom)
+            for i in _bits(rows):
+                repaired |= 1 << mirror[i]
+            if not self.ev.check(atom, repaired):
+                raise _Reject
+        if self.repair_log is not None:
+            self.repair_log.append((rows.bit_count(), repaired.bit_count()))
+        return repaired
 
     def _bottom_up(self, state: tuple) -> tuple:
         self.budget.spend()
@@ -285,12 +298,12 @@ class _FixpointSearch:
                 return
             # split-junction: route rows not yet on either side
             base_l, base_r = new[left], new[right]
-            fresh = sorted(new[idx] - (base_l | base_r))
+            fresh = _bits(new[idx] & ~(base_l | base_r))
             options = ("l", "r") if strict else ("l", "r", "b")
             for combo in itertools.product(options, repeat=len(fresh)):
                 self.budget.spend()
-                add_l = {row for row, o in zip(fresh, combo) if o in ("l", "b")}
-                add_r = {row for row, o in zip(fresh, combo) if o in ("r", "b")}
+                add_l = sum(1 << row for row, o in zip(fresh, combo) if o != "r")
+                add_r = sum(1 << row for row, o in zip(fresh, combo) if o != "l")
                 new[left] = base_l | add_l
                 new[right] = base_r | add_r
                 if strict and new[left] & new[right]:
@@ -303,14 +316,14 @@ class _FixpointSearch:
         for _ in walk(0, new):
             yield tuple(new)
 
-    def run(self) -> Optional[Team]:
+    def run(self) -> Optional[int]:
+        """The row mask of the first accepted fixpoint, or None."""
         atom_idxs = [i for i, n in enumerate(self.nodes) if n.kind == "atom"]
         candidate_lists = [
             self._atom_candidates(self.nodes[i].formula) for i in atom_idxs
         ]
-        empty = frozenset()
         for combo in itertools.product(*candidate_lists):
-            state = [empty] * len(self.nodes)
+            state = [0] * len(self.nodes)
             for i, guess in zip(atom_idxs, combo):
                 state[i] = guess
             witness = self._search(tuple(state), set())
@@ -318,20 +331,15 @@ class _FixpointSearch:
                 return witness
         return None
 
-    def _search(self, state: tuple, seen: set) -> Optional[Team]:
+    def _search(self, state: tuple, seen: set) -> Optional[int]:
         try:
             cur = self._bottom_up(state)
         except _Reject:
             return None
         for new in self._top_down(cur):
             if new == cur:
-                if cur[0]:
-                    team = Team(
-                        self.vars, tuple(self.rows[i] for i in sorted(cur[0]))
-                    )
-                    if evaluate(team, self.formula, self.mode,
-                                cap=max(16, len(self.rows))):
-                        return team
+                if cur[0] and self.ev.check(self.formula, cur[0]):
+                    return cur[0]
                 continue
             if new in seen:
                 continue
@@ -364,7 +372,8 @@ def sat_fixpoint(f: Formula, mode: SemanticsMode,
         return SatResult(SatStatus.RESOURCE_EXHAUSTED)
     if witness is None:
         return SatResult(SatStatus.UNSATISFIABLE)
-    return SatResult(SatStatus.SATISFIABLE, witness)
+    return SatResult(SatStatus.SATISFIABLE,
+                     _team(search.vars, search.rows, witness))
 
 
 # ---------------------------------------------------------------------------
@@ -459,25 +468,23 @@ def sat_split_free(f: Formula, max_free_vars: int = 20) -> SatResult:
         rows.append(tuple(labels.get(v, free_vals.get(v)) for v in vs))
 
     # Greatest-fixpoint pruning: drop rows whose x-value has no
-    # y-witness among the remaining rows, until stable.
+    # y-witness among the remaining rows, until stable.  Each round
+    # collects every atom's y-values once, so it is linear in the rows.
     index = {v: i for i, v in enumerate(vs)}
     coords = [
         ([index[v] for v in atom.xs], [index[v] for v in atom.ys])
         for atom in inc_atoms
     ]
     while rows:
-        kept = []
-        for row in rows:
-            ok = True
-            for xi, yi in coords:
-                xcode = tuple(row[i] for i in xi)
-                if not any(
-                    xcode == tuple(other[i] for i in yi) for other in rows
-                ):
-                    ok = False
-                    break
-            if ok:
-                kept.append(row)
+        witnessed = [
+            (xi, {tuple(row[i] for i in yi) for row in rows})
+            for xi, yi in coords
+        ]
+        kept = [
+            row for row in rows
+            if all(tuple(row[i] for i in xi) in ycodes
+                   for xi, ycodes in witnessed)
+        ]
         if len(kept) == len(rows):
             break
         rows = kept

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 
-from .errors import ArityMismatchError, EnumerationCapError, UnknownVariableError
+from .errors import EnumerationCapError, UnknownVariableError
 from .formulas import (
     And,
     Bot,
@@ -41,82 +41,32 @@ class SemanticsMode(enum.Enum):
     LAX = "lax"
 
 
+def eval_atom(team: Team, atom: Formula) -> bool:
+    """Evaluate a literal, constant or dependency atom against a team."""
+    if not isinstance(atom, (Top, Bot, VarRef, Not, Dep, Inc, Indep)):
+        raise TypeError(f"not an atomic formula: {atom!r}")
+    ev = TeamEvaluator(team.domain, team.rows, atom, SemanticsMode.STRICT)
+    return ev.check(atom, (1 << len(team.rows)) - 1)
+
+
 def eval_literal(team: Team, var: str, positive: bool = True) -> bool:
     """True iff every row maps ``var`` to 1 (positive) / 0 (negative)."""
-    i = team.index(var)
-    want = 1 if positive else 0
-    return all(row[i] == want for row in team.rows)
-
-
-def _codes(team: Team, vs) -> list[tuple[int, ...]]:
-    idx = [team.index(v) for v in vs]
-    return [tuple(row[i] for i in idx) for row in team.rows]
+    return eval_atom(team, VarRef(var) if positive else Not(VarRef(var)))
 
 
 def eval_dep(team: Team, xs, ys) -> bool:
     """True iff all row pairs agreeing on ``xs`` agree on ``ys``."""
-    xcodes = _codes(team, xs)
-    ycodes = _codes(team, ys)
-    seen: dict[tuple, tuple] = {}
-    for xc, yc in zip(xcodes, ycodes):
-        if seen.setdefault(xc, yc) != yc:
-            return False
-    return True
+    return eval_atom(team, Dep(tuple(xs), tuple(ys)))
 
 
 def eval_inc(team: Team, xs, ys) -> bool:
     """True iff every row's ``xs``-value occurs as some row's ``ys``-value."""
-    if len(xs) != len(ys):
-        raise ArityMismatchError(
-            f"inclusion atom requires equal tuple lengths, got {len(xs)} and {len(ys)}"
-        )
-    return set(_codes(team, xs)) <= set(_codes(team, ys))
+    return eval_atom(team, Inc(tuple(xs), tuple(ys)))
 
 
 def eval_indep(team: Team, xs, ys, zs) -> bool:
     """True iff rows agreeing on ``zs`` recombine freely on ``xs`` vs ``ys``."""
-    xcodes = _codes(team, xs)
-    ycodes = _codes(team, ys)
-    zcodes = _codes(team, zs)
-    groups: dict[tuple, list[int]] = {}
-    for i, zc in enumerate(zcodes):
-        groups.setdefault(zc, []).append(i)
-    for members in groups.values():
-        pairs = {(xcodes[i], ycodes[i]) for i in members}
-        xvals = {xcodes[i] for i in members}
-        yvals = {ycodes[i] for i in members}
-        if any((a, b) not in pairs for a in xvals for b in yvals):
-            return False
-    return True
-
-
-def eval_atom(team: Team, atom: Formula) -> bool:
-    """Evaluate a literal, constant or dependency atom against a team."""
-    if isinstance(atom, Top):
-        return True
-    if isinstance(atom, Bot):
-        return len(team) == 0
-    if isinstance(atom, VarRef):
-        return eval_literal(team, atom.name, positive=True)
-    if isinstance(atom, Not):
-        return eval_literal(team, atom.child.name, positive=False)
-    if isinstance(atom, Dep):
-        return eval_dep(team, atom.xs, atom.ys)
-    if isinstance(atom, Inc):
-        return eval_inc(team, atom.xs, atom.ys)
-    if isinstance(atom, Indep):
-        return eval_indep(team, atom.xs, atom.ys, atom.zs)
-    raise TypeError(f"not an atomic formula: {atom!r}")
-
-
-def _submasks(mask: int) -> list[int]:
-    """Every submask of ``mask``, the empty mask first."""
-    out = [0]
-    while mask:
-        low = mask & -mask
-        out += [m | low for m in out]
-        mask ^= low
-    return out
+    return eval_atom(team, Indep(tuple(xs), tuple(ys), tuple(zs)))
 
 
 def _bits(mask: int) -> list[int]:
@@ -129,22 +79,14 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _class_masks(codes, rows) -> dict[tuple, int]:
-    """Row bitmask of each value that ``codes`` takes on ``rows``."""
-    out: dict[tuple, int] = {}
-    for j in rows:
-        out[codes[j]] = out.get(codes[j], 0) | 1 << j
-    return out
-
-
 class TeamEvaluator:
     """Recursive evaluator over subteams of a fixed row set.
 
     Subteams are bitmasks over the row order; results are memoized per
     (node, mask) so repeated queries (split enumeration, SAT scans over
-    many candidate teams) stay cheap.  :meth:`atom_table` gives all
-    satisfying subteams of an atom at once, from the same per-row atom
-    data, for the bottom-up tables.
+    many candidate teams) stay cheap.  Every atom is compiled once, by
+    :meth:`_atom`, into row-mask constraints that both :meth:`check` and
+    :meth:`atom_table` read.
     """
 
     def __init__(self, domain: tuple[str, ...], rows, formula: Formula,
@@ -154,7 +96,7 @@ class TeamEvaluator:
         self.formula = formula
         self.mode = mode
         self.memo: dict[tuple[int, int], bool] = {}
-        self._atom_data: dict[int, tuple] = {}
+        self._constraints: dict[int, list[tuple[int, int, int]]] = {}
         missing = [v for v in variables(formula) if v not in domain]
         if missing:
             raise UnknownVariableError(
@@ -162,64 +104,77 @@ class TeamEvaluator:
             )
         self._index = {v: i for i, v in enumerate(domain)}
 
-    def _col(self, vs) -> list[tuple[int, ...]]:
+    def value_masks(self, vs) -> dict[tuple, int]:
+        """Row bitmask of each value the rows take on the variables ``vs``."""
         idx = [self._index[v] for v in vs]
-        return [tuple(row[i] for i in idx) for row in self.rows]
+        out: dict[tuple, int] = {}
+        for j, row in enumerate(self.rows):
+            key = tuple([row[i] for i in idx])
+            out[key] = out.get(key, 0) | 1 << j
+        return out
 
-    def _atom(self, node: Formula):
-        data = self._atom_data.get(id(node))
-        if data is not None:
-            return data
-        if isinstance(node, VarRef):
-            i = self._index[node.name]
-            bad = sum(1 << j for j, row in enumerate(self.rows) if row[i] != 1)
-            data = ("lit", bad)
-        elif isinstance(node, Not):
-            i = self._index[node.child.name]
-            bad = sum(1 << j for j, row in enumerate(self.rows) if row[i] != 0)
-            data = ("lit", bad)
+    def _atom(self, node: Formula) -> list[tuple[int, int, int]]:
+        """The atom ``node`` as row-mask constraints ``(a, b, c)``: a
+        subteam that meets both ``a`` and ``b`` must meet ``c``.  The only
+        per-kind atom semantics; compiled once per evaluator."""
+        cons = self._constraints.get(id(node))
+        if cons is not None:
+            return cons
+        full = (1 << len(self.rows)) - 1
+        if isinstance(node, (Top, Bot, VarRef, Not)):
+            # The rows the literal or constant rejects.
+            if isinstance(node, Top):
+                bad = 0
+            elif isinstance(node, Bot):
+                bad = full
+            else:
+                want = 1 if isinstance(node, VarRef) else 0
+                name = node.name if isinstance(node, VarRef) else node.child.name
+                i = self._index[name]
+                bad = sum(1 << j for j, row in enumerate(self.rows)
+                          if row[i] != want)
+            cons = [(bad, bad, 0)] if bad else []
+        elif isinstance(node, (Dep, Indep)) and len(self.rows) < 2:
+            cons = []  # both hold on every team of at most one row
         elif isinstance(node, Dep):
-            data = ("dep", self._col(node.xs), self._col(node.ys))
+            # No row of y-class w inside x-class v next to a row of v
+            # outside w.
+            k = len(node.xs)
+            xycls = self.value_masks(node.xs + node.ys)
+            xcls: dict[tuple, int] = {}
+            for key, w in xycls.items():
+                xcls[key[:k]] = xcls.get(key[:k], 0) | w
+            cons = [(w, xcls[key[:k]] & ~w, 0) for key, w in xycls.items()
+                    if w != xcls[key[:k]]]
         elif isinstance(node, Inc):
-            data = ("inc", self._col(node.xs), self._col(node.ys))
+            # Meeting X_v means meeting Y_v.
+            ycls = self.value_masks(node.ys)
+            cons = []
+            for value, xmask in self.value_masks(node.xs).items():
+                ymask = ycls.get(value, 0)
+                if xmask & ~ymask:
+                    cons.append((xmask, xmask, ymask))
         elif isinstance(node, Indep):
-            data = ("ind", self._col(node.xs), self._col(node.ys),
-                    self._col(node.zs))
+            # Inside a z-class, meeting the x-value rows A_a and the
+            # y-value rows B_b means meeting their common rows.
+            k = len(node.zs)
+            bcls: dict[tuple, list[int]] = {}
+            for key, bmask in self.value_masks(node.zs + node.ys).items():
+                bcls.setdefault(key[:k], []).append(bmask)
+            cons = []
+            for key, amask in self.value_masks(node.zs + node.xs).items():
+                for bmask in bcls[key[:k]]:
+                    both = amask & bmask
+                    if both != amask and both != bmask:
+                        cons.append((amask, bmask, both))
         else:
             raise TypeError(f"not an atomic formula: {node!r}")
-        self._atom_data[id(node)] = data
-        return data
+        self._constraints[id(node)] = cons
+        return cons
 
     def _check_atom(self, node: Formula, mask: int) -> bool:
-        data = self._atom(node)
-        tag = data[0]
-        if tag == "lit":
-            return mask & data[1] == 0
-        members = []
-        m = mask
-        while m:
-            low = m & -m
-            members.append(low.bit_length() - 1)
-            m ^= low
-        if tag == "dep":
-            _, xc, yc = data
-            seen: dict[tuple, tuple] = {}
-            for i in members:
-                if seen.setdefault(xc[i], yc[i]) != yc[i]:
-                    return False
-            return True
-        if tag == "inc":
-            _, xc, yc = data
-            return {xc[i] for i in members} <= {yc[i] for i in members}
-        _, xc, yc, zc = data
-        groups: dict[tuple, list[int]] = {}
-        for i in members:
-            groups.setdefault(zc[i], []).append(i)
-        for grp in groups.values():
-            pairs = {(xc[i], yc[i]) for i in grp}
-            xv = {xc[i] for i in grp}
-            yv = {yc[i] for i in grp}
-            if any((a, b) not in pairs for a in xv for b in yv):
+        for a, b, c in self._atom(node):
+            if mask & a and mask & b and not mask & c:
                 return False
         return True
 
@@ -227,64 +182,38 @@ class TeamEvaluator:
         """Every subteam of the row set, as a bitmask, that satisfies the
         atom ``node`` (a literal, constant or dependency atom).
 
-        Each atom kind is decided on row masks per atom value, so the
-        cost follows the number of masks and atom values, with no loop
-        over the rows of each mask.
+        Constraints with ``c == 0`` forbid rows (``a == b``) or pairs of
+        rows (one in ``a``, one in ``b``); masks grow row by row over the
+        allowed rows, skipping clashing pairs, so the masks those rules
+        exclude are never built.  The other constraints then filter.
         """
         full = (1 << len(self.rows)) - 1
-        if isinstance(node, Top):
-            return frozenset(range(full + 1))
-        if isinstance(node, Bot):
-            return frozenset([0])
-        data = self._atom(node)
-        tag = data[0]
-        if tag == "lit":
-            return frozenset(_submasks(full & ~data[1]))
-        rows = range(len(self.rows))
-        if tag == "dep":
-            # Within one x-class every row must share its y-value: pick
-            # nothing, or a nonempty part of one y-class, per x-class.
-            _, xc, yc = data
+        allowed = full
+        clash = [0] * len(self.rows)
+        checks = []
+        for a, b, c in self._atom(node):
+            if c:
+                checks.append((a, b, c))
+                continue
+            allowed &= ~(a & b)
+            if a != b:
+                for j in _bits(a):
+                    clash[j] |= b
+                for j in _bits(b):
+                    clash[j] |= a
+        if allowed == full and not any(clash):
+            masks = range(full + 1)
+        else:
             masks = [0]
-            for xmask in _class_masks(xc, rows).values():
-                options = [0]
-                for ymask in _class_masks(yc, _bits(xmask)).values():
-                    options += _submasks(ymask)[1:]
-                masks = [m | o for m in masks for o in options]
-            return frozenset(masks)
-        if tag == "inc":
-            # m satisfies the atom iff m meets Y_v wherever it meets X_v.
-            _, xc, yc = data
-            ycls = _class_masks(yc, rows)
-            allowed = full
-            needs = []
-            for value, xmask in _class_masks(xc, rows).items():
-                ymask = ycls.get(value, 0)
-                if not ymask:
-                    allowed &= ~xmask
-                elif xmask & ~ymask:
-                    needs.append((xmask, ymask))
-            masks = _submasks(allowed)
-            for xmask, ymask in needs:
-                masks = [m for m in masks if not m & xmask or m & ymask]
-            return frozenset(masks)
-        # Independence: in each z-class, a mask that meets the rows with
-        # x-value a and the rows with y-value b must meet their common rows.
-        _, xc, yc, zc = data
-        xyc = list(zip(xc, yc))
-        needs = []
-        for zmask in _class_masks(zc, rows).values():
-            members = _bits(zmask)
-            xycls = _class_masks(xyc, members)
-            ycls = _class_masks(yc, members)
-            for a, amask in _class_masks(xc, members).items():
-                for b, bmask in ycls.items():
-                    both = xycls.get((a, b), 0)
-                    if both != amask and both != bmask:
-                        needs.append((amask, bmask, both))
-        masks = _submasks(full)
-        for amask, bmask, both in needs:
-            masks = [m for m in masks if not (m & amask and m & bmask) or m & both]
+            for j in _bits(allowed):
+                bit = 1 << j
+                avoid = clash[j]
+                if avoid:
+                    masks += [m | bit for m in masks if not m & avoid]
+                else:
+                    masks += [m | bit for m in masks]
+        for a, b, c in checks:
+            masks = [m for m in masks if not (m & a and m & b) or m & c]
         return frozenset(masks)
 
     def check(self, node: Formula, mask: int) -> bool:
@@ -292,11 +221,7 @@ class TeamEvaluator:
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        if isinstance(node, Top):
-            result = True
-        elif isinstance(node, Bot):
-            result = mask == 0
-        elif isinstance(node, And):
+        if isinstance(node, And):
             result = self.check(node.left, mask) and self.check(node.right, mask)
         elif isinstance(node, Or):
             result = self._check_split(node, mask)

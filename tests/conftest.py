@@ -7,7 +7,18 @@ import random
 
 import pytest
 
-from teamlog import Team, parse_formula, parse_team
+from teamlog import (
+    Bot,
+    Dep,
+    Inc,
+    Indep,
+    Not,
+    Team,
+    Top,
+    VarRef,
+    parse_formula,
+    parse_team,
+)
 
 # A nested-split PDL formula with a known shape: 10 AST nodes, depth 3,
 # 2 splits, 4 variables, and Gaifman-graph treewidth exactly 2.
@@ -57,3 +68,54 @@ def subteams(team: Team):
     for r in range(len(team.rows) + 1):
         for combo in itertools.combinations(team.rows, r):
             yield Team(team.domain, combo)
+
+
+# ---------------------------------------------------------------------------
+# Textbook atom semantics on a Team, independent of the row-mask kernel
+
+def _codes(team: Team, vs) -> list[tuple[int, ...]]:
+    idx = [team.index(v) for v in vs]
+    return [tuple(row[i] for i in idx) for row in team.rows]
+
+
+def _ref_dep(team: Team, xs, ys) -> bool:
+    seen: dict[tuple, tuple] = {}
+    for xc, yc in zip(_codes(team, xs), _codes(team, ys)):
+        if seen.setdefault(xc, yc) != yc:
+            return False
+    return True
+
+
+def _ref_indep(team: Team, xs, ys, zs) -> bool:
+    xcodes = _codes(team, xs)
+    ycodes = _codes(team, ys)
+    groups: dict[tuple, list[int]] = {}
+    for i, zc in enumerate(_codes(team, zs)):
+        groups.setdefault(zc, []).append(i)
+    for members in groups.values():
+        pairs = {(xcodes[i], ycodes[i]) for i in members}
+        xvals = {xcodes[i] for i in members}
+        yvals = {ycodes[i] for i in members}
+        if any((a, b) not in pairs for a in xvals for b in yvals):
+            return False
+    return True
+
+
+def reference_atom(team: Team, atom) -> bool:
+    """Evaluate a literal, constant or dependency atom from its definition."""
+    if isinstance(atom, Top):
+        return True
+    if isinstance(atom, Bot):
+        return len(team) == 0
+    if isinstance(atom, (VarRef, Not)):
+        var = atom.name if isinstance(atom, VarRef) else atom.child.name
+        want = 1 if isinstance(atom, VarRef) else 0
+        i = team.index(var)
+        return all(row[i] == want for row in team.rows)
+    if isinstance(atom, Dep):
+        return _ref_dep(team, atom.xs, atom.ys)
+    if isinstance(atom, Inc):
+        return set(_codes(team, atom.xs)) <= set(_codes(team, atom.ys))
+    if isinstance(atom, Indep):
+        return _ref_indep(team, atom.xs, atom.ys, atom.zs)
+    raise TypeError(f"not an atomic formula: {atom!r}")

@@ -153,6 +153,18 @@ class TestSat:
                            "--max-vars", "5")
         assert code == EXIT_OK
 
+    def test_brute_budget_exit_four(self, files, capsys, monkeypatch):
+        f = files("f.tl", "(a & !a) & (b | (c & d))")
+        code, report = run(capsys, "sat", f, "--algo", "brute",
+                           "--budget", "10")
+        assert code == EXIT_BUDGET
+        assert report["result"]["status"] == "resource_exhausted"
+        monkeypatch.setenv("TEAMLOG_BUDGET", "10")
+        code, _ = run(capsys, "sat", f, "--algo", "brute")
+        assert code == EXIT_BUDGET
+        code, _ = run(capsys, "sat", f, "--algo", "brute", "--budget", "100000")
+        assert code == EXIT_NEGATIVE
+
 
 class TestParams:
     def test_example_formula(self, files, capsys):

@@ -29,10 +29,10 @@ from teamlog.reductions import (
     random_formula,
     setsplit_to_pinc_mc,
 )
-from teamlog.semantics import SemanticsMode, eval_atom
+from teamlog.semantics import SemanticsMode
 from teamlog.formulas import subformulas
 
-from conftest import all_teams, random_team
+from conftest import all_teams, random_team, reference_atom
 
 STRICT = SemanticsMode.STRICT
 LAX = SemanticsMode.LAX
@@ -40,7 +40,8 @@ LAX = SemanticsMode.LAX
 
 def reference_table(team, f, mode):
     """Satisfying subteams per node, by evaluating every mask's subteam
-    and joining splits pairwise; keyed by node identity."""
+    with the textbook atom semantics and joining splits pairwise; keyed
+    by node identity."""
     all_masks = range(1 << len(team))
     sets = {}
     for node in reversed(subformulas(f)):
@@ -52,7 +53,8 @@ def reference_table(team, f, mode):
                               if mode is LAX or m1 & m2 == 0)
         else:
             masks = frozenset(
-                m for m in all_masks if eval_atom(team.subteam_mask(m), node)
+                m for m in all_masks
+                if reference_atom(team.subteam_mask(m), node)
             )
         sets[id(node)] = masks
     return sets
@@ -92,6 +94,23 @@ class TestBottomUp:
     def test_table_covers_every_node(self, example_team, example_formula):
         table = build_sat_table(example_team, example_formula, LAX)
         assert len(table.entries) == len(subformulas(example_formula))
+
+    def test_builds_no_team(self, monkeypatch):
+        domain = ("x1", "x2", "x3", "x4")
+        cases = []
+        for seed in range(40):
+            f = random_formula(RandomFormulaConfig(
+                logic=list(LogicKind)[seed % 4], max_vars=4, max_nodes=11,
+                seed=seed,
+            ))
+            t = random_team(random.Random(seed), domain, max_rows=6, min_rows=6)
+            cases.append((f, t))
+        built = []
+        monkeypatch.setattr(Team, "__post_init__", built.append)
+        for f, t in cases:
+            for mode in (STRICT, LAX):
+                build_sat_table(t, f, mode)
+        assert built == []
 
     def test_strict_table_only_disjoint_unions(self):
         # the full team satisfies this disjunction only through a cover

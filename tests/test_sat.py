@@ -1,5 +1,8 @@
 """Satisfiability engines against the brute-force oracle."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,9 @@ from teamlog import (
     Team,
     evaluate,
     parse_formula,
+    variables,
 )
+from teamlog import teams
 from teamlog.errors import RepairError
 from teamlog.sat import (
     SatResult,
@@ -68,6 +73,13 @@ class TestBrute:
         assert sat_brute(f, STRICT, max_vars=4).status \
             is SatStatus.RESOURCE_EXHAUSTED
         assert sat_brute(f, STRICT, max_vars=5).status is SAT
+
+    def test_budget_exhausts(self):
+        f = parse_formula("(a & !a) & (b | (c & d))")
+        for mode in (STRICT, LAX):
+            assert sat_brute(f, mode, max_vars=4, budget=10).status \
+                is SatStatus.RESOURCE_EXHAUSTED
+            assert sat_brute(f, mode, max_vars=4).status is UNSAT
 
     def test_witness_is_canonically_least(self):
         # teams scan in increasing bitmask order over the binary-ordered
@@ -175,6 +187,29 @@ class TestFixpoint:
         for before, after in log:
             assert after <= 2 * before
 
+    def test_builds_only_the_witness_team(self, monkeypatch):
+        built = []
+        post_init = teams.Team.__post_init__
+
+        def counted(team):
+            built.append(team)
+            post_init(team)
+
+        monkeypatch.setattr(teams.Team, "__post_init__", counted)
+        repairs = 0
+        for seed in range(40):
+            f = random_formula(RandomFormulaConfig(
+                logic=LogicKind.PINC, max_vars=3, max_nodes=9, seed=seed,
+                max_splits=2,
+            ))
+            for mode in (STRICT, LAX):
+                log = []
+                built.clear()
+                r = sat_fixpoint(f, mode, repair_log=log)
+                repairs += len(log)
+                assert len(built) == (r.witness is not None), (seed, mode)
+        assert repairs > 100
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 9), st.sampled_from([STRICT, LAX]))
     def test_matches_oracle(self, seed, mode):
@@ -243,3 +278,59 @@ class TestSplitFree:
         assert got.status is expected.status
         if got.status is SAT:
             assert_verified(got, f, STRICT)
+
+
+def quadratic_prune(rows, atoms, vs):
+    """Greatest-fixpoint pruning by comparing every row with every other
+    row: the definition that :func:`sat_split_free` computes with y-value
+    sets."""
+    index = {v: i for i, v in enumerate(vs)}
+    coords = [([index[v] for v in a.xs], [index[v] for v in a.ys])
+              for a in atoms]
+    while rows:
+        kept = []
+        for row in rows:
+            ok = True
+            for xi, yi in coords:
+                xcode = tuple(row[i] for i in xi)
+                if not any(
+                    xcode == tuple(other[i] for i in yi) for other in rows
+                ):
+                    ok = False
+                    break
+            if ok:
+                kept.append(row)
+        if len(kept) == len(rows):
+            break
+        rows = kept
+    return rows
+
+
+class TestSplitFreePruning:
+    def test_overlapping_chains_match_quadratic_pruning(self):
+        outcomes = set()
+        for seed in range(36):
+            rng = random.Random(seed)
+            n = 4 + seed % 6
+            names = [f"x{j}" for j in range(1, n + 1)]
+            atoms = [Inc((names[j], names[j + 1]), (names[j + 1], names[j + 2]))
+                     for j in range(n - 2)]
+            for _ in range(rng.randint(0, 2)):
+                k = rng.randint(1, 2)
+                atoms.append(Inc(tuple(rng.choices(names, k=k)),
+                                 tuple(rng.choices(names, k=k))))
+            rng.shuffle(atoms)
+            f = parse_formula(" & ".join(
+                f"inc({', '.join(a.xs)}; {', '.join(a.ys)})" for a in atoms))
+            vs = variables(f)
+            assert len(vs) == n
+            expected = quadratic_prune(
+                list(itertools.product((0, 1), repeat=n)), atoms, vs)
+            got = sat_split_free(f)
+            if expected:
+                assert got.status is SAT, seed
+                assert got.witness.rows == Team(vs, tuple(expected)).rows, seed
+            else:
+                assert got.status is UNSAT, seed
+            outcomes.add(len(expected) < 1 << n)
+        assert outcomes == {True, False}

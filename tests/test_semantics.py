@@ -1,16 +1,28 @@
 """Atom evaluation and recursive split semantics."""
 
+import random
+
 import pytest
 
 from teamlog import (
+    And,
+    Bot,
+    Dep,
     EnumerationCapError,
+    Inc,
+    Indep,
+    Not,
     Team,
+    Top,
     UnknownVariableError,
+    VarRef,
     evaluate,
     parse_formula,
 )
 from teamlog.semantics import (
     SemanticsMode,
+    TeamEvaluator,
+    eval_atom,
     eval_dep,
     eval_inc,
     eval_indep,
@@ -18,7 +30,7 @@ from teamlog.semantics import (
 )
 from teamlog.errors import ArityMismatchError
 
-from conftest import all_teams, subteams
+from conftest import all_teams, random_team, reference_atom, subteams
 
 STRICT = SemanticsMode.STRICT
 LAX = SemanticsMode.LAX
@@ -99,6 +111,74 @@ class TestIndep:
         # rows agree on z only within the pairs that already combine
         t = T("xyz", (0, 0, 0), (1, 1, 1))
         assert eval_indep(t, ("x",), ("y",), ("z",))
+
+
+def random_atom(rng: random.Random, domain):
+    """A literal, constant or dependency atom over ``domain``; tuples may
+    be empty (except the x and y of an independence atom) and may repeat
+    variables."""
+    def tup(lo, hi):
+        return tuple(rng.choice(domain) for _ in range(rng.randint(lo, hi)))
+
+    kind = rng.randrange(7)
+    if kind == 0:
+        return Top()
+    if kind == 1:
+        return Bot()
+    if kind == 2:
+        return VarRef(rng.choice(domain))
+    if kind == 3:
+        return Not(VarRef(rng.choice(domain)))
+    if kind == 4:
+        return Dep(tup(0, 3), tup(1, 2))
+    if kind == 5:
+        xs = tup(0, 3)
+        return Inc(xs, tuple(rng.choice(domain) for _ in xs))
+    return Indep(tup(1, 2), tup(1, 2), tup(0, 2))
+
+
+class TestAtomKernel:
+    """The row-mask constraints of :meth:`TeamEvaluator._atom` against the
+    textbook atom semantics, on every subteam."""
+
+    def test_check_and_table_match_reference(self):
+        domain = ("a", "b", "c", "d")
+        rng = random.Random(2024)
+        seen = set()
+        checked = 0
+        for _ in range(2000):
+            atom = random_atom(rng, domain)
+            size = rng.randint(0, 8)
+            t = random_team(rng, domain, max_rows=size, min_rows=size)
+            ev = TeamEvaluator(t.domain, t.rows, atom, STRICT)
+            table = ev.atom_table(atom)
+            for m in range(1 << len(t)):
+                expected = reference_atom(t.subteam_mask(m), atom)
+                assert ev.check(atom, m) is expected, (atom, t.rows, m)
+                assert (m in table) is expected, (atom, t.rows, m)
+                checked += 1
+            assert eval_atom(t, atom) is reference_atom(t, atom), (atom, t.rows)
+            seen.add(type(atom))
+            xs = getattr(atom, "xs", None)
+            if xs is not None and len(set(xs)) < len(xs):
+                seen.add("repeated variable")
+            if xs == () or getattr(atom, "zs", None) == ():
+                seen.add("empty tuple")
+        assert {Top, Bot, VarRef, Not, Dep, Inc, Indep,
+                "repeated variable", "empty tuple"} <= seen
+        assert checked > 50_000
+
+    def test_at_most_one_row_needs_no_dependence_constraint(self):
+        for rows in ((), ((0, 1, 1),)):
+            t = T("xyz", *rows)
+            for atom in (Dep(("x",), ("y",)), Indep(("x",), ("y",), ("z",))):
+                assert TeamEvaluator(t.domain, t.rows, atom, STRICT)._atom(atom) == []
+
+    def test_non_atoms_raise_type_error(self):
+        t = T("x", (1,))
+        for bad in ("x", None, And(VarRef("x"), VarRef("y"))):
+            with pytest.raises(TypeError):
+                eval_atom(t, bad)
 
 
 class TestEvaluate:
