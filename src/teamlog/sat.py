@@ -104,19 +104,30 @@ def sat_brute(f: Formula, mode: SemanticsMode,
     Teams are subsets of the assignment list encoded as bitmasks and
     scanned in increasing mask order, so singletons come first and the
     returned witness is the canonically least satisfying team.  Each
-    candidate team spends one unit of ``budget``.
+    candidate team spends one unit of ``budget``.  No later candidate
+    revisits a candidate's own mask, so the memo entries that the root
+    and its conjuncts leave at that mask are dropped after each check;
+    entries at proper submasks, left by splits, are kept for reuse.
     """
     vs = variables(f)
     if len(vs) > max_vars:
         return SatResult(SatStatus.RESOURCE_EXHAUSTED)
     rows = _all_rows(len(vs))
     ev = TeamEvaluator(vs, rows, f, mode)
+    spine, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        spine.append(id(g))
+        if isinstance(g, And):
+            stack += [g.left, g.right]
     spent = _Budget(budget)
     try:
         for mask in range(1, 1 << len(rows)):
             spent.spend()
             if ev.check(f, mask):
                 return SatResult(SatStatus.SATISFIABLE, _team(vs, rows, mask))
+            for key in spine:
+                ev.memo.pop((key, mask), None)
     except ResourceBoundError:
         return SatResult(SatStatus.RESOURCE_EXHAUSTED)
     return SatResult(SatStatus.UNSATISFIABLE)

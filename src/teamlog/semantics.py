@@ -134,8 +134,6 @@ class TeamEvaluator:
                 bad = sum(1 << j for j, row in enumerate(self.rows)
                           if row[i] != want)
             cons = [(bad, bad, 0)] if bad else []
-        elif isinstance(node, (Dep, Indep)) and len(self.rows) < 2:
-            cons = []  # both hold on every team of at most one row
         elif isinstance(node, Dep):
             # No row of y-class w inside x-class v next to a row of v
             # outside w.

@@ -27,7 +27,7 @@ from teamlog.sat import (
     sat_singleton,
     sat_split_free,
 )
-from teamlog.semantics import SemanticsMode, eval_inc
+from teamlog.semantics import SemanticsMode, TeamEvaluator, eval_inc
 from teamlog.reductions import RandomFormulaConfig, random_formula
 
 STRICT = SemanticsMode.STRICT
@@ -80,6 +80,23 @@ class TestBrute:
             assert sat_brute(f, mode, max_vars=4, budget=10).status \
                 is SatStatus.RESOURCE_EXHAUSTED
             assert sat_brute(f, mode, max_vars=4).status is UNSAT
+
+    def test_memo_keeps_no_candidate_mask(self, monkeypatch):
+        # every check of this conjunction runs at the candidate's own
+        # mask, which no later candidate revisits, so nothing is kept
+        seen = []
+        init = TeamEvaluator.__init__
+
+        def recorded(self, *args):
+            init(self, *args)
+            seen.append(self)
+
+        monkeypatch.setattr(TeamEvaluator, "__init__", recorded)
+        f = parse_formula("(a & !a) & (b & (inc(c; d) & inc(d; c)))")
+        for mode in (STRICT, LAX):
+            assert sat_brute(f, mode).status is UNSAT
+        assert len(seen) == 2
+        assert all(ev.memo == {} for ev in seen)
 
     def test_witness_is_canonically_least(self):
         # teams scan in increasing bitmask order over the binary-ordered
