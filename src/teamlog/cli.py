@@ -101,7 +101,7 @@ def _cmd_sat(args) -> int:
         result = sat_brute(formula, mode, max_vars=args.max_vars,
                            budget=budget)
     elif args.algo == "singleton":
-        result = sat_singleton(formula)
+        result = sat_singleton(formula, budget=budget)
     elif args.algo == "fixpoint":
         result = sat_fixpoint(formula, mode, budget=budget)
     else:

@@ -4,9 +4,9 @@ Four routes with very different scaling behaviour:
 
 * :func:`sat_brute` enumerates every nonempty team over the formula's
   variables.  It is the reference oracle for the other engines.
-* :func:`sat_singleton` searches single assignments; complete for PL,
-  PDL and PIND, whose formulas are satisfiable iff some singleton team
-  satisfies them.
+* :func:`sat_singleton` searches single assignments, bit-parallel over
+  blocks of them; complete for PL, PDL and PIND, whose formulas are
+  satisfiable iff some singleton team satisfies them.
 * :func:`sat_fixpoint` is a determinized backtracking search over the
   choice points of a nondeterministic fixpoint construction for PINC:
   guess small initial subteams per atom, then alternate bottom-up
@@ -35,9 +35,10 @@ from .formulas import (
     Top,
     VarRef,
     logic_kind,
+    subformulas,
     variables,
 )
-from .semantics import SemanticsMode, TeamEvaluator, _bits, eval_inc, evaluate
+from .semantics import SemanticsMode, TeamEvaluator, _bits, eval_inc
 from .teams import Team
 
 __all__ = [
@@ -53,6 +54,8 @@ __all__ = [
 
 DEFAULT_BRUTE_MAX_VARS = 4
 DEFAULT_FIXPOINT_BUDGET = 2_000_000
+#: sat_singleton evaluates 2**_BLOCK_BITS assignments per bit-parallel pass
+_BLOCK_BITS = 12
 
 
 class SatStatus(enum.Enum):
@@ -102,8 +105,9 @@ def sat_brute(f: Formula, mode: SemanticsMode,
     """Enumerate all nonempty teams over VAR(f) in canonical order.
 
     Teams are subsets of the assignment list encoded as bitmasks and
-    scanned in increasing mask order, so singletons come first and the
-    returned witness is the canonically least satisfying team.  Each
+    scanned in increasing mask order, so the returned witness is the
+    satisfying team with the least mask.  Singletons do not all come
+    first: mask 3 (two rows) precedes mask 4 (one row).  Each
     candidate team spends one unit of ``budget``.  No later candidate
     revisits a candidate's own mask, so the memo entries that the root
     and its conjuncts leave at that mask are dropped after each check;
@@ -133,11 +137,27 @@ def sat_brute(f: Formula, mode: SemanticsMode,
     return SatResult(SatStatus.UNSATISFIABLE)
 
 
-def sat_singleton(f: Formula) -> SatResult:
+def _periodic(k: int, width: int) -> int:
+    """Bit ``i`` of the result is bit ``k`` of ``i``, for ``i < width``."""
+    period = 1 << (k + 1)
+    pattern = ((1 << (1 << k)) - 1) << (1 << k)
+    return ((1 << width) - 1) // ((1 << period) - 1) * pattern
+
+
+def sat_singleton(f: Formula,
+                  budget: int = DEFAULT_FIXPOINT_BUDGET) -> SatResult:
     """Search satisfying singleton teams; complete for PL, PDL and PIND.
 
-    Over a singleton team every dependence and independence atom holds,
-    so the search degenerates to classical assignment search.
+    Over a singleton team every dependence and independence atom holds
+    and a split leaves one side empty, so the search is classical
+    assignment search.  It runs bit-parallel over blocks of
+    ``2**_BLOCK_BITS`` assignments in :func:`_all_rows` order: bit ``i``
+    of a node's value says whether the block's ``i``-th assignment
+    satisfies the node.  Within a block the trailing variables take
+    periodic masks and the leading ones are constant.  The witness is the
+    first satisfying assignment in that order.  Each assignment scanned
+    spends one unit of ``budget``, so a witness is found exactly when it
+    lies among the first ``budget`` assignments.
     """
     kind = logic_kind(f)
     if kind not in (LogicKind.PL, LogicKind.PDL, LogicKind.PIND):
@@ -146,10 +166,44 @@ def sat_singleton(f: Formula) -> SatResult:
             "inclusion logic is not downward closed"
         )
     vs = variables(f)
-    for row in _all_rows(len(vs)):
-        team = Team(vs, (row,))
-        if evaluate(team, f, SemanticsMode.STRICT):
-            return SatResult(SatStatus.SATISFIABLE, team)
+    n = len(vs)
+    low = min(n, _BLOCK_BITS)
+    size = 1 << low
+    full = (1 << size) - 1
+    periodic = [_periodic(k, size) for k in range(low)]
+    # variable vs[j] is bit n-1-j of an assignment's index in _all_rows
+    shift = {v: n - 1 - j for j, v in enumerate(vs)}
+    order = subformulas(f)[::-1]
+    for base in range(0, 1 << n, size):
+        left = budget - base
+        if left <= 0:
+            return SatResult(SatStatus.RESOURCE_EXHAUSTED)
+        lit = {v: periodic[k] if k < low else full * (base >> k & 1)
+               for v, k in shift.items()}
+        val = {}
+        for g in order:
+            t = type(g)
+            if t is VarRef:
+                m = lit[g.name]
+            elif t is Not:
+                m = full ^ val[id(g.child)]
+            elif t is And:
+                m = val[id(g.left)] & val[id(g.right)]
+            elif t is Or:
+                m = val[id(g.left)] | val[id(g.right)]
+            elif t is Bot:
+                m = 0
+            else:  # Top, Dep and Indep hold on every single row
+                m = full
+            val[id(g)] = m
+        scanned = min(left, size)
+        hits = val[id(f)] & ((1 << scanned) - 1)
+        if hits:
+            i = base + (hits & -hits).bit_length() - 1
+            row = tuple(i >> k & 1 for k in shift.values())
+            return SatResult(SatStatus.SATISFIABLE, Team(vs, (row,)))
+        if scanned < size:
+            return SatResult(SatStatus.RESOURCE_EXHAUSTED)
     return SatResult(SatStatus.UNSATISFIABLE)
 
 

@@ -16,9 +16,13 @@ from teamlog import (
     Team,
     Top,
     VarRef,
+    evaluate,
     parse_formula,
     parse_team,
+    variables,
 )
+from teamlog.sat import SatResult, SatStatus, _all_rows
+from teamlog.semantics import SemanticsMode
 
 # A nested-split PDL formula with a known shape: 10 AST nodes, depth 3,
 # 2 splits, 4 variables, and Gaifman-graph treewidth exactly 2.
@@ -119,3 +123,14 @@ def reference_atom(team: Team, atom) -> bool:
     if isinstance(atom, Indep):
         return _ref_indep(team, atom.xs, atom.ys, atom.zs)
     raise TypeError(f"not an atomic formula: {atom!r}")
+
+
+def reference_singleton(f) -> SatResult:
+    """Singleton SAT by one evaluator call per assignment, in the binary
+    order of ``_all_rows``: the first satisfying row is the witness."""
+    vs = variables(f)
+    for row in _all_rows(len(vs)):
+        team = Team(vs, (row,))
+        if evaluate(team, f, SemanticsMode.STRICT):
+            return SatResult(SatStatus.SATISFIABLE, team)
+    return SatResult(SatStatus.UNSATISFIABLE)

@@ -165,6 +165,19 @@ class TestSat:
         code, _ = run(capsys, "sat", f, "--algo", "brute", "--budget", "100000")
         assert code == EXIT_NEGATIVE
 
+    def test_singleton_budget_exit_four(self, files, capsys, monkeypatch):
+        # unsatisfiable over 7 variables: 128 assignments to scan
+        f = files("f.tl", "(a & !a) & (b | c) & =(d; e) & =(f, g; a)")
+        code, report = run(capsys, "sat", f, "--algo", "singleton",
+                           "--budget", "100")
+        assert code == EXIT_BUDGET
+        assert report["result"]["status"] == "resource_exhausted"
+        monkeypatch.setenv("TEAMLOG_BUDGET", "100")
+        code, _ = run(capsys, "sat", f, "--algo", "singleton")
+        assert code == EXIT_BUDGET
+        code, _ = run(capsys, "sat", f, "--algo", "singleton", "--budget", "128")
+        assert code == EXIT_NEGATIVE
+
 
 class TestParams:
     def test_example_formula(self, files, capsys):

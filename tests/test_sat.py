@@ -14,9 +14,10 @@ from teamlog import (
     Team,
     evaluate,
     parse_formula,
+    render_formula,
     variables,
 )
-from teamlog import teams
+from teamlog import semantics, teams
 from teamlog.errors import RepairError
 from teamlog.sat import (
     SatResult,
@@ -30,10 +31,13 @@ from teamlog.sat import (
 from teamlog.semantics import SemanticsMode, TeamEvaluator, eval_inc
 from teamlog.reductions import RandomFormulaConfig, random_formula
 
+from conftest import reference_singleton
+
 STRICT = SemanticsMode.STRICT
 LAX = SemanticsMode.LAX
 SAT = SatStatus.SATISFIABLE
 UNSAT = SatStatus.UNSATISFIABLE
+EXHAUSTED = SatStatus.RESOURCE_EXHAUSTED
 
 
 def assert_verified(result: SatResult, f, mode):
@@ -124,6 +128,93 @@ class TestSingleton:
     def test_rejects_inclusion_logic(self):
         with pytest.raises(EngineNotApplicableError):
             sat_singleton(parse_formula("inc(x; y)"))
+
+    @staticmethod
+    def _pinned(n: int, seed: int):
+        """A random formula over x1..xn with a random literal on each
+        variable that is constant within a 4096-row block (the first
+        n - 12 by name), so the witness lies in a random block."""
+        rng = random.Random(seed)
+        logic = (LogicKind.PL, LogicKind.PDL, LogicKind.PIND)[seed % 3]
+        g = random_formula(RandomFormulaConfig(
+            logic=logic, max_vars=n, max_nodes=12, seed=seed))
+        vs = sorted(f"x{i}" for i in range(1, n + 1))
+        pins = [v if rng.random() < 0.5 else "!" + v for v in vs[:n - 12]]
+        pins += [f"({v} | !{v})" for v in vs[n - 12:]]
+        return parse_formula(f"({render_formula(g)}) & " + " & ".join(pins))
+
+    def test_matches_reference_loop(self):
+        # status and witness row against one evaluate call per assignment;
+        # 13 and 14 variables span more than one 4096-row block
+        texts = [
+            "T", "B", "T | B", "B | B", "T & B", "(B | T) & (T | T)",
+            "!x", "!x & !y", "x | !x", "=(; x) & !x", "ind(x; y |) & !y",
+            "ind(x, y; z |) & (x | B) & !z", "=(x, y; z) & (B | !x)",
+            "(x1 | x2) & ind(x3; x4 |) & !x1 & !x3",
+            " & ".join(f"x{i}" for i in range(1, 13)) + " & =(x3; x4)",
+            " & ".join(f"x{i}" for i in range(1, 13)) + " & ind(x3; x4 |) & !x5",
+            " & ".join(f"!x{i}" for i in range(1, 14)) + " & x2",
+            "!x1 & " + " & ".join(f"x{i}" for i in range(2, 14)),
+            "x1 & " + " & ".join(f"!x{i}" for i in range(2, 14)),
+        ]
+        cases = [parse_formula(t) for t in texts]
+        for logic in (LogicKind.PL, LogicKind.PDL, LogicKind.PIND):
+            for seed in range(160):
+                cases.append(random_formula(RandomFormulaConfig(
+                    logic=logic, max_vars=seed % 13, max_nodes=3 + seed % 23,
+                    seed=seed)))
+        cases += [self._pinned(n, seed) for n in (13, 14) for seed in range(3)]
+        assert len(cases) >= 500
+        assert {len(variables(f)) for f in cases} == set(range(15))
+        for f in cases:
+            got, want = sat_singleton(f), reference_singleton(f)
+            assert got.status is want.status, render_formula(f)
+            if want.witness is not None:
+                assert got.witness.domain == want.witness.domain
+                assert got.witness.rows == want.witness.rows, render_formula(f)
+
+    def test_builds_one_team_and_no_evaluator(self, monkeypatch):
+        built, evaluated = [], []
+        init = Team.__post_init__
+
+        def counted(self):
+            init(self)
+            built.append(self)
+
+        monkeypatch.setattr(Team, "__post_init__", counted)
+        monkeypatch.setattr(semantics, "evaluate",
+                            lambda *args, **kw: evaluated.append(args))
+        f = parse_formula("=(x1; x2) & =(; x4) & (x5 | !x6) & x7")
+        r = sat_singleton(f)
+        assert r.status is SAT
+        assert built == [r.witness]
+        assert sat_singleton(parse_formula("x1 & =(x2; x3) & !x1")).status \
+            is UNSAT
+        assert len(built) == 1
+        assert evaluated == []
+
+    def test_budget_counts_assignments(self):
+        vs = [f"x{i}" for i in range(1, 14)]
+        unsat = parse_formula(" & ".join(vs) + " & !x2")
+        assert sat_singleton(unsat, budget=100).status is EXHAUSTED
+        assert sat_singleton(unsat).status is UNSAT
+        first = sat_singleton(parse_formula(" & ".join("!" + v for v in vs)),
+                              budget=100)
+        assert first.witness.rows == ((0,) * 13,)
+
+    def test_budget_across_a_block_boundary(self):
+        # over x1 < x10 < ... < x13 < x2 < ... < x9, x1 is the leading bit:
+        # these witnesses are the last row of the first block (4095) and
+        # the first row of the second (4096)
+        last = parse_formula("!x1 & " + " & ".join(
+            f"x{i}" for i in range(2, 14)))
+        first = parse_formula("x1 & " + " & ".join(
+            f"!x{i}" for i in range(2, 14)))
+        assert sat_singleton(last, budget=4095).status is EXHAUSTED
+        assert sat_singleton(last, budget=4096).status is SAT
+        assert sat_singleton(first, budget=4096).status is EXHAUSTED
+        r = sat_singleton(first, budget=4097)
+        assert r.witness.rows == ((1,) + (0,) * 12,)
 
 
 class TestRepairInclusion:
