@@ -10,14 +10,9 @@ subformula relation, ``DEP`` for atom/variable co-occurrence, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional
-
-import networkx as nx
-from networkx.algorithms.approximation.treewidth import (
-    treewidth_min_degree,
-    treewidth_min_fill_in,
-)
 
 from .errors import ResourceBoundError, UnknownVariableError
 from .formulas import (
@@ -57,37 +52,47 @@ _DEP_ATOMS = (Dep, Inc, Indep)
 
 
 class GaifmanGraph:
-    """Simple undirected graph with tagged vertices and edge provenance."""
+    """Undirected graph: ``adj`` maps each vertex to its neighbours and
+    each neighbour to its edge's tags; ``info`` maps it to (kind, label)."""
 
     def __init__(self):
-        self.g = nx.Graph()
+        self.adj: dict[str, dict[str, set[str]]] = {}
+        self.info: dict[str, tuple[str, str]] = {}
 
     def add_vertex(self, vid: str, kind: str, label: str) -> None:
-        if vid not in self.g:
-            self.g.add_node(vid, kind=kind, label=label)
+        if vid not in self.adj:
+            self.adj[vid] = {}
+            self.info[vid] = (kind, label)
 
     def add_edge(self, u: str, v: str, tag: str) -> None:
         if u == v:
             return
-        if self.g.has_edge(u, v):
-            self.g.edges[u, v]["tags"].add(tag)
-        else:
-            self.g.add_edge(u, v, tags={tag})
+        tags = self.adj.setdefault(u, {}).get(v)
+        if tags is None:
+            tags = set()
+            self.adj[u][v] = tags
+            self.adj.setdefault(v, {})[u] = tags
+        tags.add(tag)
 
     def vertices(self) -> list[str]:
-        return list(self.g.nodes)
+        return list(self.adj)
 
     def edges(self) -> list[tuple[str, str]]:
-        return [tuple(sorted(e)) for e in self.g.edges]
+        seen = set()
+        out = []
+        for u, nbrs in self.adj.items():
+            seen.add(u)
+            out += [(u, v) if u < v else (v, u) for v in nbrs if v not in seen]
+        return out
 
     def label(self, vid: str) -> str:
-        return self.g.nodes[vid]["label"]
+        return self.info[vid][1]
 
     def provenance(self, u: str, v: str) -> frozenset[str]:
-        return frozenset(self.g.edges[u, v]["tags"])
+        return frozenset(self.adj[u][v])
 
     def __len__(self) -> int:
-        return len(self.g)
+        return len(self.adj)
 
 
 def build_gaifman(f: Formula, team: Optional[Team] = None) -> GaifmanGraph:
@@ -171,15 +176,17 @@ def validate_decomposition(g: GaifmanGraph, d: TreeDecomposition) -> Decompositi
     """Check the three tree-decomposition conditions; report the first breach."""
     bags = d.bags
     n = len(bags)
+    adjacency = [set() for _ in range(n)]
     for i, j in d.edges:
         if not (0 <= i < n and 0 <= j < n):
             return DecompositionCheck(False, violation=f"edge ({i},{j}) out of range")
-    if n > 1:
-        tree = nx.Graph()
-        tree.add_nodes_from(range(n))
-        tree.add_edges_from(d.edges)
-        if not nx.is_tree(tree):
-            return DecompositionCheck(False, violation="bag graph is not a tree")
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    # A tree on n bags has n - 1 distinct undirected edges and is connected;
+    # repeated edges collapse, and a self-loop counts as an edge.
+    distinct = {frozenset(e) for e in d.edges}
+    if n and (len(distinct) != n - 1 or not _connected(adjacency, set(range(n)))):
+        return DecompositionCheck(False, violation="bag graph is not a tree")
     covered = set().union(*bags) if bags else set()
     vertices = set(g.vertices())
     if covered != vertices:
@@ -192,97 +199,102 @@ def validate_decomposition(g: GaifmanGraph, d: TreeDecomposition) -> Decompositi
             return DecompositionCheck(
                 False, violation=f"edge ({u},{v}) not inside any bag"
             )
-    adjacency = {i: set() for i in range(n)}
-    for i, j in d.edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
     for v in vertices:
-        holding = {i for i, b in enumerate(bags) if v in b}
-        start = next(iter(holding))
-        seen = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in adjacency[i]:
-                if j in holding and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if seen != holding:
+        if not _connected(adjacency, {i for i, b in enumerate(bags) if v in b}):
             return DecompositionCheck(
                 False, violation=f"bags containing {v!r} are not connected"
             )
     return DecompositionCheck(True, width=d.width)
 
 
-def _convert_nx_decomposition(tree: nx.Graph) -> TreeDecomposition:
-    bags = list(tree.nodes)
-    index = {b: i for i, b in enumerate(bags)}
-    edges = tuple(tuple(sorted((index[a], index[b]))) for a, b in tree.edges)
-    return TreeDecomposition(tuple(frozenset(b) for b in bags), edges)
+def _connected(adjacency: list[set[int]], nodes: set[int]) -> bool:
+    """Whether the nonempty ``nodes`` induce a connected subgraph."""
+    start = next(iter(nodes))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for j in adjacency[stack.pop()]:
+            if j in nodes and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(nodes)
+
+
+def _min_fill_vertex(adj: dict[str, set[str]]) -> str:
+    """The vertex whose elimination adds the fewest fill edges.
+
+    Vertices are scanned in stable ascending-degree order; a vertex's
+    count stops once it reaches the best so far, and the first vertex of
+    no fill is taken at once.  Counts are doubled, since each missing
+    edge is seen from both of its ends.
+    """
+    best, best_fill = None, float("inf")
+    for v in sorted(adj, key=lambda u: len(adj[u])):
+        ns = adj[v]
+        fill = 0
+        for a in ns:
+            fill += len(ns - adj[a]) - 1
+            if fill >= best_fill:
+                break
+        else:
+            if fill == 0:
+                return v
+            best, best_fill = v, fill
+    return best
+
+
+def _eliminate(adj: dict, method: str, order: Optional[list[str]] = None
+               ) -> TreeDecomposition:
+    """Tree decomposition from eliminating the vertices of ``adj`` in turn.
+
+    The next vertex is the next one of ``order`` when that is given, or
+    else the one of least fill (``min_fill``) or of least degree with ties
+    broken by insertion order (``min_degree``).  A vertex's bag is itself
+    plus its remaining neighbours; the bag's tree edge goes to the bag of
+    the earliest-eliminated of those neighbours, and a bag with none (the
+    last of a connected component) is attached to the final bag.
+    """
+    work = {v: set(ns) for v, ns in adj.items()}
+    if order is not None:
+        pending = iter(order)
+        pick = lambda touched: next(pending)
+    elif method == "min_fill":
+        pick = lambda touched: _min_fill_vertex(work)
+    elif method == "min_degree":
+        index = {v: i for i, v in enumerate(work)}
+        heap = [(len(ns), index[v], v) for v, ns in work.items()]
+        heapify(heap)
+
+        def pick(touched):
+            for a in touched:
+                heappush(heap, (len(work[a]), index[a], a))
+            while True:
+                degree, _, v = heappop(heap)
+                if v in work and len(work[v]) == degree:
+                    return v
+    else:
+        raise ValueError(f"unknown treewidth heuristic {method!r}")
+    steps = []
+    ns = set()
+    while work:
+        v = pick(ns)
+        ns = work.pop(v)
+        for a in ns:
+            work[a] |= ns
+            work[a] -= {a, v}
+        steps.append((v, ns))
+    pos = {v: i for i, (v, _) in enumerate(steps)}
+    last = len(steps) - 1
+    edges = tuple((i, min((pos[u] for u in ns), default=last))
+                  for i, (_, ns) in enumerate(steps[:-1]))
+    return TreeDecomposition(tuple(frozenset(ns | {v}) for v, ns in steps), edges)
 
 
 def treewidth_upper(g: GaifmanGraph, method: str = "min_fill"
                     ) -> tuple[int, TreeDecomposition]:
     """Heuristic elimination-ordering upper bound with a valid decomposition."""
-    if len(g) == 0:
-        return -1, TreeDecomposition((), ())
-    if method == "min_fill":
-        width, tree = treewidth_min_fill_in(g.g)
-    elif method == "min_degree":
-        width, tree = treewidth_min_degree(g.g)
-    else:
-        raise ValueError(f"unknown treewidth heuristic {method!r}")
-    return width, _convert_nx_decomposition(tree)
-
-
-def _decomposition_from_order(graph: nx.Graph, order: list[str]) -> TreeDecomposition:
-    work = graph.copy()
-    bags = []
-    bag_of = {}
-    successor = {}
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        nbrs = set(work[v])
-        bag_of[v] = len(bags)
-        bags.append(frozenset({v} | nbrs))
-        later = [u for u in nbrs]
-        successor[v] = min(later, key=lambda u: pos[u]) if later else None
-        for a in nbrs:
-            for b in nbrs:
-                if a != b:
-                    work.add_edge(a, b)
-        work.remove_node(v)
-    edges = []
-    for v in order:
-        nxt = successor[v]
-        if nxt is not None:
-            edges.append(tuple(sorted((bag_of[v], bag_of[nxt]))))
-        elif bag_of[v] != len(bags) - 1:
-            # isolated component: attach to the final bag to keep one tree
-            edges.append(tuple(sorted((bag_of[v], len(bags) - 1))))
-    return TreeDecomposition(tuple(bags), tuple(dict.fromkeys(edges)))
-
-
-def _min_fill_order(adj: dict[str, set[str]]) -> tuple[int, list[str]]:
-    adj = {v: set(ns) for v, ns in adj.items()}
-    order = []
-    width = 0
-
-    def fill(v):
-        ns = list(adj[v])
-        return sum(
-            1 for i, a in enumerate(ns) for b in ns[i + 1:] if b not in adj[a]
-        )
-
-    while adj:
-        v = min(adj, key=lambda u: (fill(u), len(adj[u]), u))
-        width = max(width, len(adj[v]))
-        ns = adj.pop(v)
-        for a in ns:
-            adj[a].discard(v)
-            adj[a].update(ns - {a})
-        order.append(v)
-    return width, order
+    decomp = _eliminate(g.adj, method)
+    return decomp.width, decomp
 
 
 def treewidth_exact(g: GaifmanGraph, max_vertices: int = 16
@@ -293,11 +305,7 @@ def treewidth_exact(g: GaifmanGraph, max_vertices: int = 16
         raise ResourceBoundError(
             f"graph has {n} vertices; exact treewidth capped at {max_vertices}"
         )
-    if n == 0:
-        return -1, TreeDecomposition((), ())
-    base_adj = {v: set(g.g[v]) for v in g.g}
-    ub_width, ub_order = _min_fill_order(base_adj)
-    best = {"width": ub_width, "order": ub_order}
+    best = {"width": _eliminate(g.adj, "min_fill").width, "order": None}
     visited: dict[frozenset[str], int] = {}
 
     def search(adj: dict[str, set[str]], current_max: int, order: list[str]):
@@ -320,7 +328,8 @@ def treewidth_exact(g: GaifmanGraph, max_vertices: int = 16
             return
         visited[key] = current_max
 
-        def eliminate(v):
+        def branch(v):
+            # eliminate v in place, search on, then undo the elimination
             ns = adj.pop(v)
             added = []
             for a in ns:
@@ -329,9 +338,9 @@ def treewidth_exact(g: GaifmanGraph, max_vertices: int = 16
                     if b != a and b not in adj[a]:
                         adj[a].add(b)
                         added.append((a, b))
-            return ns, added
-
-        def restore(v, ns, added):
+            order.append(v)
+            search(adj, max(current_max, len(ns)), order)
+            order.pop()
             for a, b in added:
                 adj[a].discard(b)
             for a in ns:
@@ -342,25 +351,15 @@ def treewidth_exact(g: GaifmanGraph, max_vertices: int = 16
         for v in list(adj):
             ns = adj[v]
             if all(b in adj[a] for a in ns for b in ns if a != b):
-                sub_ns, added = eliminate(v)
-                order.append(v)
-                search(adj, max(current_max, len(sub_ns)), order)
-                order.pop()
-                restore(v, sub_ns, added)
+                branch(v)
                 return
         for v in sorted(adj, key=lambda u: (len(adj[u]), u)):
-            deg = len(adj[v])
-            if max(current_max, deg) >= best["width"]:
-                continue
-            sub_ns, added = eliminate(v)
-            order.append(v)
-            search(adj, max(current_max, deg), order)
-            order.pop()
-            restore(v, sub_ns, added)
+            if max(current_max, len(adj[v])) < best["width"]:
+                branch(v)
 
-    search({v: set(ns) for v, ns in base_adj.items()}, 0, [])
-    decomp = _decomposition_from_order(g.g, best["order"])
-    return best["width"], decomp
+    search({v: set(ns) for v, ns in g.adj.items()}, 0, [])
+    decomp = _eliminate(g.adj, "min_fill", best["order"])
+    return decomp.width, decomp
 
 
 @dataclass(frozen=True)
@@ -450,7 +449,7 @@ def to_dot(g: GaifmanGraph) -> str:
     lines = ["graph gaifman {"]
     for vid in g.vertices():
         label = g.label(vid).replace('"', '\\"')
-        lines.append(f'  "{vid}" [label="{label}", kind="{g.g.nodes[vid]["kind"]}"];')
+        lines.append(f'  "{vid}" [label="{label}", kind="{g.info[vid][0]}"];')
     for u, v in g.edges():
         tags = ",".join(sorted(g.provenance(u, v)))
         lines.append(f'  "{u}" -- "{v}" [provenance="{tags}"];')

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import teamlog
 from teamlog import (
     Bot,
     Dep,
@@ -38,6 +41,15 @@ def example_formula():
 @pytest.fixture
 def example_team():
     return parse_team(EXAMPLE_TEAM_TEXT)
+
+
+def child_env(**overrides: str) -> dict:
+    """Environment for a child interpreter that imports this ``teamlog``."""
+    env = dict(os.environ, **overrides)
+    source = str(Path(teamlog.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (source, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def bits_row(value: int, width: int) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 """Command-line interface: payloads and exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -16,7 +18,7 @@ from teamlog.cli import (
 )
 from teamlog.sat import SatResult, SatStatus
 
-from conftest import EXAMPLE_FORMULA_TEXT, EXAMPLE_TEAM_TEXT
+from conftest import EXAMPLE_FORMULA_TEXT, EXAMPLE_TEAM_TEXT, child_env
 
 
 @pytest.fixture
@@ -222,6 +224,25 @@ class TestGraphAndDecomp:
             assert code == EXIT_OK
             assert report["result"]["width"] >= 2
             assert report["result"]["bags"]
+
+    def test_min_degree_independent_of_hash_seed(self, files):
+        # min-degree ties abound here; they must not follow set order
+        f = files("f.txt",
+                  "=(v9, v4; v11) & =(v5, v11; v11) & =(v10, v8; v0) & "
+                  "=(v7, v3; v10) & =(v0, v2; v1) & =(v5, v7; v3) & "
+                  "=(v6, v8; v1) & =(v9, v3; v0) & =(v11, v3; v6) & "
+                  "=(v4, v2; v6) & =(v2, v1; v2) & =(v9, v9; v7) & "
+                  "=(v2, v2; v0) & =(v0, v3; v3)")
+        results = []
+        for seed in ("1", "4"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "teamlog.cli", "decomp", f,
+                 "--method", "min_degree"],
+                env=child_env(PYTHONHASHSEED=seed), capture_output=True,
+                text=True, timeout=60)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            results.append(json.loads(proc.stdout)["result"])
+        assert results[0] == results[1]
 
 
 class TestGenAndTranslate:

@@ -1,6 +1,8 @@
 """Gaifman graphs, tree decompositions, treewidth and parameters."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,7 +22,12 @@ from teamlog import (
 from teamlog.reductions import RandomFormulaConfig, random_formula, LogicKind
 from teamlog.structure import GaifmanGraph, decomposition_to_object
 
-from conftest import random_team
+from conftest import (
+    EXAMPLE_FORMULA_TEXT,
+    EXAMPLE_TEAM_TEXT,
+    child_env,
+    random_team,
+)
 
 
 def path_graph(n):
@@ -132,6 +139,20 @@ class TestValidator:
         assert not check.valid
         assert "not a tree" in check.violation
 
+    @pytest.mark.parametrize("bags, edges, valid", [
+        # a self-loop is an edge, so one bag with one is not a tree
+        (({"v0", "v1"},), ((0, 0),), False),
+        # a repeated edge collapses into one
+        (({"v0", "v1"}, {"v1"}), ((0, 1), (1, 0)), True),
+        (({"v0", "v1"}, {"v1"}), ((0, 1), (1, 1)), False),
+    ])
+    def test_bag_graph_tree_test(self, bags, edges, valid):
+        d = TreeDecomposition(tuple(map(frozenset, bags)), edges)
+        check = validate_decomposition(path_graph(2), d)
+        assert check.valid is valid
+        if not valid:
+            assert "not a tree" in check.violation
+
     def test_disconnected_occurrence_detected(self):
         g = path_graph(3)
         d = TreeDecomposition(
@@ -196,6 +217,27 @@ class TestTreewidth:
                 assert validate_decomposition(g, d).valid
                 if exact is not None:
                     assert w >= exact
+
+
+def test_no_networkx_needed():
+    # A None entry in sys.modules makes any import of networkx fail.
+    code = f"""
+import sys
+sys.modules["networkx"] = None
+from teamlog import (build_gaifman, parameters, parse_formula, parse_team,
+                     to_dot, treewidth_exact, treewidth_upper)
+f = parse_formula({EXAMPLE_FORMULA_TEXT!r})
+team = parse_team({EXAMPLE_TEAM_TEXT!r})
+assert parameters(f, team, exact_tw=True).formula_tw == 2
+g = build_gaifman(f, team)
+for method in ("min_fill", "min_degree"):
+    assert treewidth_upper(g, method=method)[0] >= 2
+assert treewidth_exact(g)[0] >= 2
+assert to_dot(g).startswith("graph gaifman {{")
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestParameters:
