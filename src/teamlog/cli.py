@@ -60,9 +60,13 @@ def _mode(name: str) -> SemanticsMode:
     return SemanticsMode.STRICT if name == "strict" else SemanticsMode.LAX
 
 
-def _default_budget() -> int:
-    env = os.environ.get("TEAMLOG_BUDGET")
-    return int(env) if env else DEFAULT_FIXPOINT_BUDGET
+def _budget(text: str) -> int:
+    """A search budget: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"a budget (--budget or TEAMLOG_BUDGET) is a non-negative "
+            f"integer, not {text!r}")
+    return int(text)
 
 
 def _report(args, payload: dict, engine: str, started: float) -> dict:
@@ -96,7 +100,7 @@ def _cmd_sat(args) -> int:
     started = time.perf_counter()
     formula = parse_formula(_read(args.formula))
     mode = _mode(args.semantics)
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = DEFAULT_FIXPOINT_BUDGET if args.budget is None else args.budget
     if args.algo == "brute":
         result = sat_brute(formula, mode, max_vars=args.max_vars,
                            budget=budget)
@@ -211,7 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo",
                    choices=["brute", "singleton", "fixpoint", "splitfree"],
                    default="brute")
-    p.add_argument("--budget", type=int, default=None,
+    # argparse converts a string default with ``type`` too
+    p.add_argument("--budget", type=_budget,
+                   default=os.environ.get("TEAMLOG_BUDGET") or None,
                    help="search budget (overrides TEAMLOG_BUDGET)")
     p.add_argument("--max-vars", type=int, default=4,
                    help="variable bound for the brute-force engine")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -31,6 +32,8 @@ __all__ = [
     "parse_formula",
     "render_formula",
     "subformulas",
+    "node_array",
+    "conjuncts",
     "children",
     "atoms",
     "variables",
@@ -135,7 +138,46 @@ def subformulas(f: Formula) -> list[Formula]:
     while stack:
         node = stack.pop()
         out.append(node)
-        stack.extend(reversed(children(node)))
+        t = type(node)
+        if t is And or t is Or:
+            stack += (node.right, node.left)
+        elif t is Not:
+            stack.append(node.child)
+    return out
+
+
+def node_array(f: Formula) -> tuple[list[Formula], list[tuple[int, ...]]]:
+    """The nodes of ``f`` in :func:`subformulas` order, one position per
+    occurrence, and ``kids[i]``, the positions of node ``i``'s children:
+    the left one right after it, the right one after the left subtree."""
+    nodes = subformulas(f)
+    n = len(nodes)
+    size = [1] * n
+    kids: list[tuple[int, ...]] = [()] * n
+    for i in range(n - 1, -1, -1):
+        t = type(nodes[i])
+        if t is And or t is Or:
+            right = i + 1 + size[i + 1]
+            kids[i] = (i + 1, right)
+            size[i] = 1 + size[i + 1] + size[right]
+        elif t is Not:
+            kids[i] = (i + 1,)
+            size[i] = 2
+    return nodes, kids
+
+
+def conjuncts(nodes: list[Formula], kids: list[tuple[int, ...]],
+              i: int) -> list[int]:
+    """Positions of the non-conjunctions reached from node ``i`` through
+    conjunctions only, left to right (``[i]`` for a non-conjunction)."""
+    out = []
+    stack = [i]
+    while stack:
+        j = stack.pop()
+        if type(nodes[j]) is And:
+            stack += reversed(kids[j])
+        else:
+            out.append(j)
     return out
 
 
@@ -173,11 +215,11 @@ def formula_size(f: Formula) -> int:
 
 def formula_depth(f: Formula) -> int:
     """Length in edges of the longest root-to-leaf path."""
-    depth = {}
-    for node in reversed(subformulas(f)):
-        kids = children(node)
-        depth[id(node)] = 1 + max(depth[id(k)] for k in kids) if kids else 0
-    return depth[id(f)]
+    _, kids = node_array(f)
+    depth = [0] * len(kids)
+    for i in range(len(kids) - 1, -1, -1):
+        depth[i] = max((depth[k] + 1 for k in kids[i]), default=0)
+    return depth[0]
 
 
 def split_count(f: Formula) -> int:
@@ -205,12 +247,7 @@ def logic_kind(f: Formula) -> LogicKind:
 # ---------------------------------------------------------------------------
 # Rendering
 
-def _render_vlist(vs: VarTuple) -> str:
-    return ", ".join(vs)
-
-
-def render_formula(f: Formula) -> str:
-    """Canonical fully parenthesized text; parses back to an equal AST."""
+def _render_leaf(f: Formula) -> str:
     if isinstance(f, Top):
         return "T"
     if isinstance(f, Bot):
@@ -219,20 +256,32 @@ def render_formula(f: Formula) -> str:
         return f.name
     if isinstance(f, Not):
         return f"!{f.child.name}"
-    if isinstance(f, And):
-        return f"({render_formula(f.left)} & {render_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"({render_formula(f.left)} | {render_formula(f.right)})"
     if isinstance(f, Dep):
-        return f"=({_render_vlist(f.xs)}; {_render_vlist(f.ys)})"
+        return f"=({', '.join(f.xs)}; {', '.join(f.ys)})"
     if isinstance(f, Inc):
-        return f"inc({_render_vlist(f.xs)}; {_render_vlist(f.ys)})"
+        return f"inc({', '.join(f.xs)}; {', '.join(f.ys)})"
     if isinstance(f, Indep):
-        body = f"{_render_vlist(f.xs)}; {_render_vlist(f.ys)} |"
-        if f.zs:
-            body += f" {_render_vlist(f.zs)}"
-        return f"ind({body})"
+        zs = f" {', '.join(f.zs)}" if f.zs else ""
+        return f"ind({', '.join(f.xs)}; {', '.join(f.ys)} |{zs})"
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def render_formula(f: Formula) -> str:
+    """Canonical fully parenthesized text; parses back to an equal AST."""
+    if not isinstance(f, (And, Or)):
+        return _render_leaf(f)
+    nodes, kids = node_array(f)
+    text: list = [None] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        g = nodes[i]
+        if isinstance(g, (And, Or)):
+            left, right = kids[i]
+            op = "&" if isinstance(g, And) else "|"
+            text[i] = f"({text[left]} {op} {text[right]})"
+            text[left] = text[right] = None
+        else:
+            text[i] = _render_leaf(g)
+    return text[0]
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +290,10 @@ def render_formula(f: Formula) -> str:
 _RESERVED = {"T", "B"}
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
+_Token = namedtuple("_Token", "kind text pos")
+_PUNCTUATION = {"(": "lparen", ")": "rparen", "&": "amp", "|": "pipe",
+                "!": "bang", ";": "semi", ",": "comma"}
+_UNITS = {"top", "bot", "ident", "bang", "depopen", "incopen", "indopen"}
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -258,12 +304,8 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c in "()&|!;,":
-            kind = {
-                "(": "lparen", ")": "rparen", "&": "amp", "|": "pipe",
-                "!": "bang", ";": "semi", ",": "comma",
-            }[c]
-            tokens.append(_Token(kind, c, i))
+        if c in _PUNCTUATION:
+            tokens.append(_Token(_PUNCTUATION[c], c, i))
             i += 1
             continue
         if c == "=":
@@ -309,39 +351,52 @@ class _Parser:
         return tok
 
     def parse(self) -> Formula:
-        f = self.disj()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise FormulaSyntaxError(f"unexpected trailing {tok.text!r}", tok.pos)
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek().kind == "pipe":
-            self.take("pipe")
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unit()
-        while self.peek().kind == "amp":
-            self.take("amp")
-            f = And(f, self.unit())
-        return f
+        """``conj ('|' conj)*``, ``conj = unit ('&' unit)*``, folded left;
+        a parenthesis pushes the enclosing partial disj and conj."""
+        frames: list[tuple] = []
+        disj = conj = None
+        while True:
+            if self.peek().kind == "lparen":
+                self.take("lparen")
+                frames.append((disj, conj))
+                disj = conj = None
+                continue
+            f = self.unit()
+            while True:
+                conj = f if conj is None else And(conj, f)
+                if self.peek().kind == "amp":
+                    self.take("amp")
+                    break
+                disj = conj if disj is None else Or(disj, conj)
+                conj = None
+                if self.peek().kind == "pipe":
+                    self.take("pipe")
+                    break
+                if not frames:
+                    tok = self.peek()
+                    if tok.kind != "eof":
+                        raise FormulaSyntaxError(
+                            f"unexpected trailing {tok.text!r}", tok.pos)
+                    return disj
+                self.take("rparen")
+                f = disj
+                disj, conj = frames.pop()
 
     def unit(self) -> Formula:
+        """A constant, literal or dependency atom."""
         tok = self.peek()
+        if tok.kind not in _UNITS:
+            raise FormulaSyntaxError(
+                f"expected a formula, found {tok.text or 'end of input'!r}", tok.pos
+            )
+        self.take(tok.kind)
         if tok.kind == "top":
-            self.take("top")
             return Top()
         if tok.kind == "bot":
-            self.take("bot")
             return Bot()
         if tok.kind == "ident":
-            self.take("ident")
             return VarRef(tok.text)
         if tok.kind == "bang":
-            self.take("bang")
             nxt = self.peek()
             if nxt.kind != "ident":
                 raise FormulaSyntaxError(
@@ -349,37 +404,16 @@ class _Parser:
                 )
             self.take("ident")
             return Not(VarRef(nxt.text))
-        if tok.kind == "lparen":
-            self.take("lparen")
-            f = self.disj()
-            self.take("rparen")
-            return f
-        if tok.kind == "depopen":
-            self.take("depopen")
-            xs = self.vlist()
-            self.take("semi")
-            ys = self.vlist()
-            self.take("rparen")
-            return Dep(xs, ys)
-        if tok.kind == "incopen":
-            self.take("incopen")
-            xs = self.vlist()
-            self.take("semi")
-            ys = self.vlist()
-            self.take("rparen")
-            return Inc(xs, ys)
+        xs = self.vlist()
+        self.take("semi")
+        ys = self.vlist()
         if tok.kind == "indopen":
-            self.take("indopen")
-            xs = self.vlist()
-            self.take("semi")
-            ys = self.vlist()
             self.take("pipe")
             zs = self.vlist()
             self.take("rparen")
             return Indep(xs, ys, zs)
-        raise FormulaSyntaxError(
-            f"expected a formula, found {tok.text or 'end of input'!r}", tok.pos
-        )
+        self.take("rparen")
+        return (Dep if tok.kind == "depopen" else Inc)(xs, ys)
 
     def vlist(self) -> VarTuple:
         if self.peek().kind != "ident":

@@ -9,10 +9,10 @@ scale where the recursive split enumeration does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EnumerationCapError
-from .formulas import And, Formula, Or, subformulas
+from .formulas import And, Formula, Or
 from .semantics import DEFAULT_ENUMERATION_CAP, SemanticsMode, TeamEvaluator, evaluate
 # Re-exported: the benchmark's tracer tests look eval_atom up on this module.
 from .semantics import eval_atom  # noqa: F401
@@ -23,22 +23,16 @@ __all__ = ["SatSetTable", "build_sat_table", "mc_bottom_up", "mc"]
 
 @dataclass(frozen=True)
 class SatSetTable:
-    """Per-node sets of satisfying subteams, as row bitmasks."""
+    """Per-node sets of satisfying subteams, as row bitmasks, by position."""
 
     team: Team
     entries: tuple[tuple[Formula, frozenset[int]], ...]
-    _by_node: dict[int, frozenset[int]] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_by_node", {id(n): masks for n, masks in self.entries})
 
     def masks_for(self, node: Formula) -> frozenset[int]:
-        try:
-            return self._by_node[id(node)]
-        except KeyError:
-            raise KeyError(f"node not in table: {node!r}") from None
+        for n, masks in self.entries:
+            if n is node:
+                return masks
+        raise KeyError(f"node not in table: {node!r}")
 
 
 def build_sat_table(team: Team, f: Formula, mode: SemanticsMode,
@@ -49,23 +43,23 @@ def build_sat_table(team: Team, f: Formula, mode: SemanticsMode,
             f"team of size {len(team)} exceeds the enumeration cap {cap}"
         )
     ev = TeamEvaluator(team.domain, team.rows, f, mode)
-    nodes = subformulas(f)
-    sets: dict[int, frozenset[int]] = {}
-    for node in reversed(nodes):
-        if isinstance(node, And):
-            masks = sets[id(node.left)] & sets[id(node.right)]
-        elif isinstance(node, Or):
-            left, right = sets[id(node.left)], sets[id(node.right)]
+    sets: list = [None] * len(ev.nodes)
+    for i in range(len(sets) - 1, -1, -1):
+        node = ev.nodes[i]
+        if not isinstance(node, (And, Or)):
+            masks = ev.atom_table(node)
+        elif isinstance(node, And):
+            masks = sets[ev.kids[i][0]] & sets[ev.kids[i][1]]
+        else:
+            left, right = sets[ev.kids[i][0]], sets[ev.kids[i][1]]
             if mode is SemanticsMode.STRICT:
                 masks = frozenset(
                     m1 | m2 for m1 in left for m2 in right if m1 & m2 == 0
                 )
             else:
                 masks = frozenset(m1 | m2 for m1 in left for m2 in right)
-        else:
-            masks = ev.atom_table(node)
-        sets[id(node)] = masks
-    return SatSetTable(team, tuple((n, sets[id(n)]) for n in nodes))
+        sets[i] = masks
+    return SatSetTable(team, tuple(zip(ev.nodes, sets)))
 
 
 def mc_bottom_up(team: Team, f: Formula, mode: SemanticsMode,

@@ -24,6 +24,8 @@ from .formulas import (
     Or,
     Top,
     VarRef,
+    formula_size,
+    node_array,
 )
 from .teams import Team
 
@@ -127,17 +129,19 @@ def dep_to_indep(f: Formula) -> Formula:
     y being independent of itself given x, so each atom becomes
     ``ind(y; y | x)``.  PL subformulas pass through unchanged.
     """
-    if isinstance(f, And):
-        return And(dep_to_indep(f.left), dep_to_indep(f.right))
-    if isinstance(f, Or):
-        return Or(dep_to_indep(f.left), dep_to_indep(f.right))
-    if isinstance(f, Dep):
-        return Indep(f.ys, f.ys, f.xs)
-    if isinstance(f, (Inc, Indep)):
-        raise TeamlogError(
-            "dep_to_indep applies to PL and PDL formulas only"
-        )
-    return f
+    nodes, kids = node_array(f)
+    out = list(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        g = nodes[i]
+        if isinstance(g, (And, Or)):
+            out[i] = type(g)(out[kids[i][0]], out[kids[i][1]])
+        elif isinstance(g, Dep):
+            out[i] = Indep(g.ys, g.ys, g.xs)
+        elif isinstance(g, (Inc, Indep)):
+            raise TeamlogError(
+                "dep_to_indep applies to PL and PDL formulas only"
+            )
+    return out[0]
 
 
 @dataclass(frozen=True)
@@ -188,7 +192,7 @@ def random_formula(cfg: RandomFormulaConfig) -> Formula:
         # a literal costs up to 2 nodes, a connective needs 1 + two children
         if budget < 4 or rng.random() < 0.3:
             f = atom()
-            while _size(f) > budget:
+            while formula_size(f) > budget:
                 f = atom()
             return f
         can_split = splits_left[0] > 0
@@ -197,12 +201,7 @@ def random_formula(cfg: RandomFormulaConfig) -> Formula:
             splits_left[0] -= 1
         left_budget = rng.randint(1, budget - 2)
         left = build(left_budget)
-        right = build(budget - 1 - _size(left))
+        right = build(budget - 1 - formula_size(left))
         return Or(left, right) if use_or else And(left, right)
-
-    def _size(f: Formula) -> int:
-        from .formulas import formula_size
-
-        return formula_size(f)
 
     return build(max(1, cfg.max_nodes))

@@ -32,10 +32,10 @@ from .formulas import (
     LogicKind,
     Not,
     Or,
-    Top,
     VarRef,
+    conjuncts,
     logic_kind,
-    subformulas,
+    node_array,
     variables,
 )
 from .semantics import SemanticsMode, TeamEvaluator, _bits, eval_inc
@@ -110,7 +110,7 @@ def sat_brute(f: Formula, mode: SemanticsMode,
     first: mask 3 (two rows) precedes mask 4 (one row).  Each
     candidate team spends one unit of ``budget``.  No later candidate
     revisits a candidate's own mask, so the memo entries that the root
-    and its conjuncts leave at that mask are dropped after each check;
+    and its :func:`conjuncts` leave at that mask are dropped after each check;
     entries at proper submasks, left by splits, are kept for reuse.
     """
     vs = variables(f)
@@ -118,20 +118,15 @@ def sat_brute(f: Formula, mode: SemanticsMode,
         return SatResult(SatStatus.RESOURCE_EXHAUSTED)
     rows = _all_rows(len(vs))
     ev = TeamEvaluator(vs, rows, f, mode)
-    spine, stack = [], [f]
-    while stack:
-        g = stack.pop()
-        spine.append(id(g))
-        if isinstance(g, And):
-            stack += [g.left, g.right]
+    spine = {0, *conjuncts(ev.nodes, ev.kids, 0)}
     spent = _Budget(budget)
     try:
         for mask in range(1, 1 << len(rows)):
             spent.spend()
-            if ev.check(f, mask):
+            if ev.check_at(0, mask):
                 return SatResult(SatStatus.SATISFIABLE, _team(vs, rows, mask))
-            for key in spine:
-                ev.memo.pop((key, mask), None)
+            for i in spine:
+                ev.memo.pop((i, mask), None)
     except ResourceBoundError:
         return SatResult(SatStatus.RESOURCE_EXHAUSTED)
     return SatResult(SatStatus.UNSATISFIABLE)
@@ -173,31 +168,32 @@ def sat_singleton(f: Formula,
     periodic = [_periodic(k, size) for k in range(low)]
     # variable vs[j] is bit n-1-j of an assignment's index in _all_rows
     shift = {v: n - 1 - j for j, v in enumerate(vs)}
-    order = subformulas(f)[::-1]
+    nodes, kids = node_array(f)
+    val = [0] * len(nodes)
     for base in range(0, 1 << n, size):
         left = budget - base
         if left <= 0:
             return SatResult(SatStatus.RESOURCE_EXHAUSTED)
         lit = {v: periodic[k] if k < low else full * (base >> k & 1)
                for v, k in shift.items()}
-        val = {}
-        for g in order:
+        for i in range(len(nodes) - 1, -1, -1):
+            g = nodes[i]
             t = type(g)
             if t is VarRef:
                 m = lit[g.name]
             elif t is Not:
-                m = full ^ val[id(g.child)]
+                m = full ^ val[i + 1]
             elif t is And:
-                m = val[id(g.left)] & val[id(g.right)]
+                m = val[kids[i][0]] & val[kids[i][1]]
             elif t is Or:
-                m = val[id(g.left)] | val[id(g.right)]
+                m = val[kids[i][0]] | val[kids[i][1]]
             elif t is Bot:
                 m = 0
             else:  # Top, Dep and Indep hold on every single row
                 m = full
-            val[id(g)] = m
+            val[i] = m
         scanned = min(left, size)
-        hits = val[id(f)] & ((1 << scanned) - 1)
+        hits = val[0] & ((1 << scanned) - 1)
         if hits:
             i = base + (hits & -hits).bit_length() - 1
             row = tuple(i >> k & 1 for k in shift.values())
@@ -243,61 +239,34 @@ class _Reject(Exception):
     pass
 
 
-class _Node:
-    __slots__ = ("kind", "formula", "left", "right")
-
-    def __init__(self, kind, formula, left=None, right=None):
-        self.kind = kind  # "and" | "or" | "atom"
-        self.formula = formula
-        self.left = left
-        self.right = right
-
-
-def _build_nodes(f: Formula) -> list[_Node]:
-    """Pre-order node list; negated literals are single atom nodes."""
-    nodes: list[_Node] = []
-
-    def walk(g: Formula) -> int:
-        idx = len(nodes)
-        if isinstance(g, (And, Or)):
-            node = _Node("and" if isinstance(g, And) else "or", g)
-            nodes.append(node)
-            node.left = walk(g.left)
-            node.right = walk(g.right)
-        else:
-            nodes.append(_Node("atom", g))
-        return idx
-
-    walk(f)
-    return nodes
-
-
 class _FixpointSearch:
-    """Per-node states are row bitmasks over all assignments to VAR(f),
-    and every atom check goes through one evaluator over those rows."""
+    """States hold a row bitmask over all assignments to VAR(f) per
+    position of the evaluator's node array; a negated literal is one
+    atom, so the variable position after a negation stays empty."""
 
     def __init__(self, f: Formula, mode: SemanticsMode, budget: _Budget,
                  repair_log: Optional[list]):
-        self.mode = mode
         self.budget = budget
         self.repair_log = repair_log
-        self.formula = f
-        self.vars = variables(f)
-        self.rows = _all_rows(len(self.vars))
-        self.nodes = _build_nodes(f)
-        self.ev = TeamEvaluator(self.vars, self.rows, f, mode)
+        vs = variables(f)
+        self.ev = TeamEvaluator(vs, _all_rows(len(vs)), f, mode)
+        nodes, kids = self.ev.nodes, self.ev.kids
+        self.live = [i for i in range(len(nodes))
+                     if not (i and type(nodes[i - 1]) is Not)]
+        self.atoms = [i for i in self.live if len(kids[i]) < 2]
         self._mirrors: dict[int, list[int]] = {}
 
     # -- initial guesses ----------------------------------------------------
 
-    def _atom_candidates(self, atom: Formula) -> list[int]:
+    def _atom_candidates(self, i: int) -> list[int]:
+        atom = self.ev.nodes[i]
         if not isinstance(atom, Inc):
             # The empty team or one row that satisfies the literal.
-            return [0] + [1 << i for i in range(len(self.rows))
-                          if self.ev.check(atom, 1 << i)]
+            return [0] + [1 << r for r in range(len(self.ev.rows))
+                          if self.ev.check_at(i, 1 << r)]
         # One row per y-value class: the bounded guesses the correctness
         # argument needs (at most 2^arity rows).
-        picks = [[0] + [1 << i for i in _bits(ymask)]
+        picks = [[0] + [1 << r for r in _bits(ymask)]
                  for ymask in self.ev.value_masks(atom.ys).values()]
         cands = [sum(combo) for combo in itertools.product(*picks)]
         cands.sort(key=lambda m: (m.bit_count(), _bits(m)))
@@ -305,30 +274,31 @@ class _FixpointSearch:
 
     # -- rounds -------------------------------------------------------------
 
-    def _mirror(self, atom: Inc) -> list[int]:
-        """Per row, the index of the row with its x-value copied into the
-        y-positions."""
-        mirror = self._mirrors.get(id(atom))
+    def _mirror(self, i: int) -> list[int]:
+        """Per row, the index of the row with the x-value of the inclusion
+        atom at position ``i`` copied into the y-positions."""
+        mirror = self._mirrors.get(i)
         if mirror is None:
-            index = {v: i for i, v in enumerate(self.vars)}
+            atom = self.ev.nodes[i]
+            index = {v: k for k, v in enumerate(self.ev.domain)}
             pairs = [(index[x], index[y]) for x, y in zip(atom.xs, atom.ys)]
-            position = {row: i for i, row in enumerate(self.rows)}
-            mirror = [position[_mirrored(row, pairs)] for row in self.rows]
-            self._mirrors[id(atom)] = mirror
+            position = {row: k for k, row in enumerate(self.ev.rows)}
+            mirror = [position[_mirrored(row, pairs)] for row in self.ev.rows]
+            self._mirrors[i] = mirror
         return mirror
 
-    def _repair_atom(self, atom: Formula, rows: int) -> int:
-        if not isinstance(atom, Inc):
-            if not self.ev.check(atom, rows):
+    def _repair_atom(self, i: int, rows: int) -> int:
+        if not isinstance(self.ev.nodes[i], Inc):
+            if not self.ev.check_at(i, rows):
                 raise _Reject
             return rows
         # One pass of the mirror rule, as in :func:`repair_inclusion`.
         repaired = rows
-        if not self.ev.check(atom, rows):
-            mirror = self._mirror(atom)
-            for i in _bits(rows):
-                repaired |= 1 << mirror[i]
-            if not self.ev.check(atom, repaired):
+        if not self.ev.check_at(i, rows):
+            mirror = self._mirror(i)
+            for r in _bits(rows):
+                repaired |= 1 << mirror[r]
+            if not self.ev.check_at(i, repaired):
                 raise _Reject
         if self.repair_log is not None:
             self.repair_log.append((rows.bit_count(), repaired.bit_count()))
@@ -337,81 +307,85 @@ class _FixpointSearch:
     def _bottom_up(self, state: tuple) -> tuple:
         self.budget.spend()
         new = list(state)
-        for idx in range(len(self.nodes) - 1, -1, -1):
-            node = self.nodes[idx]
-            if node.kind == "atom":
-                new[idx] = self._repair_atom(node.formula, new[idx])
+        for i in reversed(self.live):
+            kids = self.ev.kids[i]
+            if len(kids) == 2:
+                new[i] = new[kids[0]] | new[kids[1]]
             else:
-                new[idx] = new[node.left] | new[node.right]
+                new[i] = self._repair_atom(i, new[i])
         return tuple(new)
 
+    def _routes(self, cur: tuple, new: list, s: int):
+        """Route the rows at split ``s`` that neither child holds in
+        ``cur`` left, right or (lax) both ways, one budget unit a try."""
+        strict = self.ev.mode is SemanticsMode.STRICT
+        left, right = self.ev.kids[s]
+        base_l, base_r = cur[left], cur[right]
+        fresh = _bits(new[s] & ~(base_l | base_r))
+        options = ("l", "r") if strict else ("l", "r", "b")
+        for combo in itertools.product(options, repeat=len(fresh)):
+            self.budget.spend()
+            add_l = sum(1 << row for row, o in zip(fresh, combo) if o != "r")
+            add_r = sum(1 << row for row, o in zip(fresh, combo) if o != "l")
+            if strict and (base_l | add_l) & (base_r | add_r):
+                continue
+            new[left], new[right] = base_l | add_l, base_r | add_r
+            yield True
+
     def _top_down(self, cur: tuple):
-        """Yield all successor states for the distribution choices."""
-        strict = self.mode is SemanticsMode.STRICT
-
-        def walk(idx: int, new: list):
-            node = self.nodes[idx]
-            if node.kind == "atom":
-                yield None
-                return
-            left, right = node.left, node.right
-            if node.kind == "and":
-                new[left] = new[idx]
-                new[right] = new[idx]
-                for _ in walk(left, new):
-                    yield from walk(right, new)
-                return
-            # split-junction: route rows not yet on either side
-            base_l, base_r = new[left], new[right]
-            fresh = _bits(new[idx] & ~(base_l | base_r))
-            options = ("l", "r") if strict else ("l", "r", "b")
-            for combo in itertools.product(options, repeat=len(fresh)):
-                self.budget.spend()
-                add_l = sum(1 << row for row, o in zip(fresh, combo) if o != "r")
-                add_r = sum(1 << row for row, o in zip(fresh, combo) if o != "l")
-                new[left] = base_l | add_l
-                new[right] = base_r | add_r
-                if strict and new[left] & new[right]:
-                    continue
-                for _ in walk(left, new):
-                    yield from walk(right, new)
-            new[left], new[right] = base_l, base_r
-
+        """Yield all successor states: an odometer over the splits in
+        pre-order, the earliest outermost.  After a split chooses, the
+        conjunctions up to the next split copy their rows to both kids."""
+        nodes, kids = self.ev.nodes, self.ev.kids
         new = list(cur)
-        for _ in walk(0, new):
-            yield tuple(new)
+        routes = []
+        pos = 0
+        while True:
+            while pos < len(nodes) and type(nodes[pos]) is not Or:
+                if type(nodes[pos]) is And:
+                    new[kids[pos][0]] = new[kids[pos][1]] = new[pos]
+                pos += 1
+            if pos == len(nodes):
+                yield tuple(new)
+            else:
+                routes.append((pos, self._routes(cur, new, pos)))
+            while routes and not next(routes[-1][1], False):
+                routes.pop()
+            if not routes:
+                return
+            pos = routes[-1][0] + 1
 
     def run(self) -> Optional[int]:
         """The row mask of the first accepted fixpoint, or None."""
-        atom_idxs = [i for i, n in enumerate(self.nodes) if n.kind == "atom"]
-        candidate_lists = [
-            self._atom_candidates(self.nodes[i].formula) for i in atom_idxs
-        ]
+        candidate_lists = [self._atom_candidates(i) for i in self.atoms]
         for combo in itertools.product(*candidate_lists):
-            state = [0] * len(self.nodes)
-            for i, guess in zip(atom_idxs, combo):
+            state = [0] * len(self.ev.nodes)
+            for i, guess in zip(self.atoms, combo):
                 state[i] = guess
-            witness = self._search(tuple(state), set())
+            witness = self._search(tuple(state))
             if witness is not None:
                 return witness
         return None
 
-    def _search(self, state: tuple, seen: set) -> Optional[int]:
-        try:
-            cur = self._bottom_up(state)
-        except _Reject:
-            return None
-        for new in self._top_down(cur):
-            if new == cur:
-                if cur[0] and self.ev.check(self.formula, cur[0]):
+    def _search(self, state: tuple) -> Optional[int]:
+        """Depth first, each state expanded once, on a stack of iterators."""
+        seen = set()
+        stack = [(None, iter((state,)))]
+        while stack:
+            cur, successors = stack[-1]
+            new = next(successors, None)
+            if new is None:
+                stack.pop()
+            elif new == cur:
+                if cur[0] and self.ev.check_at(0, cur[0]):
                     return cur[0]
-                continue
-            if new in seen:
-                continue
-            seen.add(new)
-            witness = self._search(new, seen)
-            if witness is not None:
-                return witness
+            elif new not in seen:
+                seen.add(new)
+                try:
+                    nxt = self._bottom_up(new)
+                except _Reject:
+                    continue
+                stack.append((nxt, self._top_down(nxt)))
         return None
 
 
@@ -438,24 +412,11 @@ def sat_fixpoint(f: Formula, mode: SemanticsMode,
     if witness is None:
         return SatResult(SatStatus.UNSATISFIABLE)
     return SatResult(SatStatus.SATISFIABLE,
-                     _team(search.vars, search.rows, witness))
+                     _team(search.ev.domain, search.ev.rows, witness))
 
 
 # ---------------------------------------------------------------------------
 # Labelling procedure for split-free PINC
-
-def _conjuncts(f: Formula) -> list[Formula]:
-    out = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack.append(g.right)
-            stack.append(g.left)
-        else:
-            out.append(g)
-    return out
-
 
 def sat_split_free(f: Formula, max_free_vars: int = 20) -> SatResult:
     """SAT for split-free PINC via label propagation plus pruning.
@@ -479,46 +440,37 @@ def sat_split_free(f: Formula, max_free_vars: int = 20) -> SatResult:
             f"the labelling procedure handles PINC (and plain PL), "
             f"not {kind.value}"
         )
-    conjuncts = _conjuncts(f)
-    if any(isinstance(g, Or) for g in conjuncts):
+    nodes, kids = node_array(f)
+    parts = [nodes[i] for i in conjuncts(nodes, kids, 0)]
+    if any(isinstance(g, Or) for g in parts):
         raise EngineNotApplicableError(
             "the labelling procedure requires a split-free formula"
         )
-    inc_atoms: list[Inc] = []
+    inc_atoms = [g for g in parts if isinstance(g, Inc)]
     labels: dict[str, int] = {}
-
-    def label(v: str, c: int) -> bool:
-        if labels.setdefault(v, c) != c:
-            return False
-        return True
-
-    for g in conjuncts:
-        if isinstance(g, Top):
-            continue
-        if isinstance(g, Bot):
-            return SatResult(SatStatus.UNSATISFIABLE)
+    for g in parts:
         if isinstance(g, VarRef):
-            if not label(g.name, 1):
-                return SatResult(SatStatus.UNSATISFIABLE)
+            v, c = g.name, 1
         elif isinstance(g, Not):
-            if not label(g.child.name, 0):
-                return SatResult(SatStatus.UNSATISFIABLE)
+            v, c = g.child.name, 0
+        elif isinstance(g, Bot):
+            return SatResult(SatStatus.UNSATISFIABLE)
         else:
-            inc_atoms.append(g)
+            continue
+        if labels.setdefault(v, c) != c:
+            return SatResult(SatStatus.UNSATISFIABLE)
 
     # FIFO worklist over labelled variables; each propagation step
     # copies a label from a y-position to the matching x-position.
     queue = list(labels)
-    while queue:
-        v = queue.pop(0)
+    for v in queue:
         c = labels[v]
         for atom in inc_atoms:
             for p, q in zip(atom.xs, atom.ys):
                 if q == v:
                     if p not in labels:
-                        labels[p] = c
                         queue.append(p)
-                    elif labels[p] != c:
+                    if labels.setdefault(p, c) != c:
                         return SatResult(SatStatus.UNSATISFIABLE)
 
     vs = variables(f)

@@ -1,4 +1,4 @@
-"""Team satisfaction: atom evaluation and the recursive split semantics."""
+"""Team satisfaction: atom evaluation and the split semantics."""
 
 from __future__ import annotations
 
@@ -16,6 +16,8 @@ from .formulas import (
     Or,
     Top,
     VarRef,
+    conjuncts,
+    node_array,
     variables,
 )
 from .teams import Team
@@ -46,7 +48,7 @@ def eval_atom(team: Team, atom: Formula) -> bool:
     if not isinstance(atom, (Top, Bot, VarRef, Not, Dep, Inc, Indep)):
         raise TypeError(f"not an atomic formula: {atom!r}")
     ev = TeamEvaluator(team.domain, team.rows, atom, SemanticsMode.STRICT)
-    return ev.check(atom, (1 << len(team.rows)) - 1)
+    return ev.check_at(0, (1 << len(team.rows)) - 1)
 
 
 def eval_literal(team: Team, var: str, positive: bool = True) -> bool:
@@ -80,23 +82,24 @@ def _bits(mask: int) -> list[int]:
 
 
 class TeamEvaluator:
-    """Recursive evaluator over subteams of a fixed row set.
+    """Evaluator over subteams of a fixed row set.
 
     Subteams are bitmasks over the row order; results are memoized per
-    (node, mask) so repeated queries (split enumeration, SAT scans over
-    many candidate teams) stay cheap.  Every atom is compiled once, by
-    :meth:`_atom`, into row-mask constraints that both :meth:`check` and
-    :meth:`atom_table` read.
+    (position in :func:`node_array`, mask) so repeated queries (split
+    enumeration, SAT scans over many candidate teams) stay cheap.  A
+    conjunction loops over its :func:`conjuncts`, so only splits nest
+    calls.  Atoms compile, by :meth:`_atom`, to row-mask constraints.
     """
 
     def __init__(self, domain: tuple[str, ...], rows, formula: Formula,
                  mode: SemanticsMode):
         self.domain = domain
         self.rows = list(rows)
-        self.formula = formula
         self.mode = mode
+        self.nodes, self.kids = node_array(formula)
         self.memo: dict[tuple[int, int], bool] = {}
-        self._constraints: dict[int, list[tuple[int, int, int]]] = {}
+        self._constraints: list = [None] * len(self.nodes)
+        self._conjuncts: list = [None] * len(self.nodes)
         missing = [v for v in variables(formula) if v not in domain]
         if missing:
             raise UnknownVariableError(
@@ -116,10 +119,7 @@ class TeamEvaluator:
     def _atom(self, node: Formula) -> list[tuple[int, int, int]]:
         """The atom ``node`` as row-mask constraints ``(a, b, c)``: a
         subteam that meets both ``a`` and ``b`` must meet ``c``.  The only
-        per-kind atom semantics; compiled once per evaluator."""
-        cons = self._constraints.get(id(node))
-        if cons is not None:
-            return cons
+        per-kind atom semantics."""
         full = (1 << len(self.rows)) - 1
         if isinstance(node, (Top, Bot, VarRef, Not)):
             # The rows the literal or constant rejects.
@@ -167,14 +167,7 @@ class TeamEvaluator:
                         cons.append((amask, bmask, both))
         else:
             raise TypeError(f"not an atomic formula: {node!r}")
-        self._constraints[id(node)] = cons
         return cons
-
-    def _check_atom(self, node: Formula, mask: int) -> bool:
-        for a, b, c in self._atom(node):
-            if mask & a and mask & b and not mask & c:
-                return False
-        return True
 
     def atom_table(self, node: Formula) -> frozenset[int]:
         """Every subteam of the row set, as a bitmask, that satisfies the
@@ -215,34 +208,54 @@ class TeamEvaluator:
         return frozenset(masks)
 
     def check(self, node: Formula, mask: int) -> bool:
-        key = (id(node), mask)
+        """:meth:`check_at` the first position that holds ``node``."""
+        for i, g in enumerate(self.nodes):
+            if g is node:
+                return self.check_at(i, mask)
+        raise KeyError(f"not a node of the formula: {node!r}")
+
+    def check_at(self, i: int, mask: int) -> bool:
+        """Whether the subteam ``mask`` satisfies the node at position ``i``."""
+        key = (i, mask)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        if isinstance(node, And):
-            result = self.check(node.left, mask) and self.check(node.right, mask)
-        elif isinstance(node, Or):
-            result = self._check_split(node, mask)
+        t = type(self.nodes[i])
+        result = True
+        if t is And:
+            conj = self._conjuncts[i]
+            if conj is None:
+                conj = self._conjuncts[i] = conjuncts(self.nodes, self.kids, i)
+            result = all(self.check_at(j, mask) for j in conj)
+        elif t is Or:
+            result = self._check_split(i, mask)
         else:
-            result = self._check_atom(node, mask)
+            cons = self._constraints[i]
+            if cons is None:
+                cons = self._constraints[i] = self._atom(self.nodes[i])
+            for a, b, c in cons:
+                if mask & a and mask & b and not mask & c:
+                    result = False
+                    break
         self.memo[key] = result
         return result
 
-    def _check_split(self, node: Or, mask: int) -> bool:
+    def _check_split(self, i: int, mask: int) -> bool:
         # Enumerate left parts as submasks of the team; strict fixes the
         # right part to the complement, lax lets it grow back into the
         # left part.  Empty parts are allowed.
+        left, right = self.kids[i]
         sub = mask
         while True:
-            if self.check(node.left, sub):
+            if self.check_at(left, sub):
                 rest = mask ^ sub
                 if self.mode is SemanticsMode.STRICT:
-                    if self.check(node.right, rest):
+                    if self.check_at(right, rest):
                         return True
                 else:
                     extra = sub
                     while True:
-                        if self.check(node.right, rest | extra):
+                        if self.check_at(right, rest | extra):
                             return True
                         if extra == 0:
                             break
@@ -254,7 +267,7 @@ class TeamEvaluator:
 
 def evaluate(team: Team, f: Formula, mode: SemanticsMode,
              cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-    """Recursive team satisfaction under the given split semantics.
+    """Team satisfaction under the given split semantics.
 
     Raises :class:`EnumerationCapError` when the team exceeds ``cap``:
     split enumeration is exponential in the team size.
@@ -264,4 +277,4 @@ def evaluate(team: Team, f: Formula, mode: SemanticsMode,
             f"team of size {len(team)} exceeds the enumeration cap {cap}"
         )
     ev = TeamEvaluator(team.domain, team.rows, f, mode)
-    return ev.check(f, (1 << len(team.rows)) - 1)
+    return ev.check_at(0, (1 << len(team.rows)) - 1)

@@ -81,15 +81,29 @@ class TestMc:
         code, _ = run(capsys, "mc", f, t)
         assert code == EXIT_RESOURCE
 
-    def test_crash_is_internal_error_not_negative(self, files, capsys):
-        # nesting deeper than the recursion limit must not exit 1
-        f = files("f.tl", "(" * 1100 + "x1" + ")" * 1100)
+    def test_crash_is_internal_error_not_negative(self, files, capsys,
+                                                  monkeypatch):
+        # an unexpected exception must not exit 1
+        def crash(*args, **kwargs):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(cli, "mc", crash)
+        f = files("f.tl", "x1")
         t = files("t.team", "x1\n1\n")
         code = main(["mc", f, t])
         captured = capsys.readouterr()
         assert code == EXIT_INTERNAL
         assert captured.out == ""
         assert "internal error" in captured.err
+
+    @pytest.mark.parametrize("depth", [1100, 10_000])
+    def test_deep_nesting_answers(self, files, capsys, depth):
+        f = files("f.tl", "(" * depth + "x1" + ")" * depth)
+        t = files("t.team", "x1\n1\n")
+        for algo in ("recursive", "bottomup"):
+            code, report = run(capsys, "mc", f, t, "--algo", algo)
+            assert code == EXIT_OK
+            assert report["result"] == {"satisfied": True}
 
 
 class TestSat:
@@ -143,6 +157,22 @@ class TestSat:
         f = files("f.tl", "(inc(x; y) | inc(y; x)) | (inc(x; z) | inc(z; x))")
         code, _ = run(capsys, "sat", f, "--algo", "fixpoint")
         assert code == EXIT_BUDGET
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_budget_is_usage_error(self, files, capsys, monkeypatch,
+                                       value):
+        f = files("f.tl", "x")
+        code = main(["sat", f, "--algo", "brute", "--budget", value])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "error:" in captured.err
+        monkeypatch.setenv("TEAMLOG_BUDGET", value)
+        code = main(["sat", f, "--algo", "brute"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "error:" in captured.err and "TEAMLOG_BUDGET" in captured.err
 
     def test_brute_variable_guard(self, files, capsys):
         # the all-zero assignment satisfies this, so raising the guard
