@@ -18,7 +18,6 @@ from .formulas import (
     VarRef,
     conjuncts,
     node_array,
-    variables,
 )
 from .teams import Team
 
@@ -100,7 +99,16 @@ class TeamEvaluator:
         self.memo: dict[tuple[int, int], bool] = {}
         self._constraints: list = [None] * len(self.nodes)
         self._conjuncts: list = [None] * len(self.nodes)
-        missing = [v for v in variables(formula) if v not in domain]
+        names = set()
+        for node in self.nodes:
+            t = type(node)
+            if t is VarRef:
+                names.add(node.name)
+            elif t is Dep or t is Inc:
+                names.update(node.xs, node.ys)
+            elif t is Indep:
+                names.update(node.xs, node.ys, node.zs)
+        missing = sorted(names.difference(domain))
         if missing:
             raise UnknownVariableError(
                 f"variables {missing} not in team domain {domain}"

@@ -28,6 +28,7 @@ from .formulas import (
     atoms,
     formula_depth,
     formula_size,
+    node_array,
     render_formula,
     split_count,
     variables,
@@ -98,58 +99,63 @@ class GaifmanGraph:
 def build_gaifman(f: Formula, team: Optional[Team] = None) -> GaifmanGraph:
     """Gaifman graph of the syntax structure of ``f`` (and optionally a team)."""
     if team is not None:
-        missing = [v for v in variables(f) if v not in team.domain]
+        fvars = variables(f)
+        missing = [v for v in fvars if v not in team.domain]
         if missing:
             raise UnknownVariableError(
                 f"variables {missing} not in team domain {team.domain}"
             )
     gg = GaifmanGraph()
-    counter = [0]
 
     def var_vertex(name: str) -> str:
         vid = f"var:{name}"
         gg.add_vertex(vid, "variable", name)
         return vid
 
-    def walk(node: Formula) -> str:
-        if isinstance(node, VarRef):
-            return var_vertex(node.name)
-        idx = counter[0]
-        counter[0] += 1
-        vid = f"sub:{idx}"
-        if isinstance(node, And):
-            gg.add_vertex(vid, "subformula", "&")
-            for child in (node.left, node.right):
-                gg.add_edge(vid, walk(child), "child")
-        elif isinstance(node, Or):
-            gg.add_vertex(vid, "subformula", "|")
-            for child in (node.left, node.right):
-                gg.add_edge(vid, walk(child), "child")
-        elif isinstance(node, Not):
-            gg.add_vertex(vid, "subformula", "!")
-            gg.add_edge(vid, var_vertex(node.child.name), "child")
+    # Pre-order by an explicit stack.  Vertices are added when reached and
+    # a ``child`` edge once the child's subtree is done, so vertices and
+    # each vertex's neighbours keep the order of a recursive walk.
+    nodes, kids = node_array(f)
+    count = 0
+    todo: list = [(0, None)]
+    while todo:
+        i, up = todo.pop()
+        if i is None:  # ``up`` is (parent, child) with the child's subtree done
+            gg.add_edge(*up, "child")
+            continue
+        node = nodes[i]
+        t = type(node)
+        if t is VarRef:
+            vid = var_vertex(node.name)
         else:
-            gg.add_vertex(vid, "subformula", render_formula(node))
-            if isinstance(node, _DEP_ATOMS):
+            vid = f"sub:{count}"
+            count += 1
+            label = ("&" if t is And else "|" if t is Or else "!" if t is Not
+                     else render_formula(node))
+            gg.add_vertex(vid, "subformula", label)
+            if t in _DEP_ATOMS:
                 used = atom_variables(node)
                 for v in used:
                     gg.add_edge(vid, var_vertex(v), "DEP")
                 # All of an atom's variables must share a decomposition
                 # bag, so they form a clique.
-                for i, a in enumerate(used):
-                    for b in used[i + 1:]:
+                for j, a in enumerate(used):
+                    for b in used[j + 1:]:
                         gg.add_edge(var_vertex(a), var_vertex(b), "DEP")
-        return vid
-
-    walk(f)
+        if up is not None:
+            todo.append((None, (up, vid)))
+        todo += [(k, vid) for k in reversed(kids[i])]
     if team is not None:
-        fvars = variables(f)
+        # Every row vertex is new and every variable vertex exists, so each
+        # row's edges go straight into both adjacency dicts.
+        adj = gg.adj
+        columns = [(f"var:{v}", adj[f"var:{v}"], team.index(v)) for v in fvars]
         for i, row in enumerate(team.rows):
             cid = f"team:{i}"
             gg.add_vertex(cid, "team", f"c{i + 1}")
-            for v in fvars:
-                value = row[team.index(v)]
-                gg.add_edge(cid, var_vertex(v), "isTrue" if value else "isFalse")
+            row_adj = adj[cid]
+            for vid, var_adj, j in columns:
+                row_adj[vid] = var_adj[cid] = {"isTrue" if row[j] else "isFalse"}
     return gg
 
 
@@ -187,20 +193,23 @@ def validate_decomposition(g: GaifmanGraph, d: TreeDecomposition) -> Decompositi
     distinct = {frozenset(e) for e in d.edges}
     if n and (len(distinct) != n - 1 or not _connected(adjacency, set(range(n)))):
         return DecompositionCheck(False, violation="bag graph is not a tree")
-    covered = set().union(*bags) if bags else set()
+    holding: dict[str, set[int]] = {}  # vertex -> the bags that hold it
+    for i, bag in enumerate(bags):
+        for v in bag:
+            holding.setdefault(v, set()).add(i)
     vertices = set(g.vertices())
-    if covered != vertices:
-        missing = sorted(vertices - covered)
+    if holding.keys() != vertices:
+        missing = sorted(vertices - holding.keys())
         return DecompositionCheck(
             False, violation=f"vertices not covered by any bag: {missing}"
         )
     for u, v in g.edges():
-        if not any(u in b and v in b for b in bags):
+        if holding[u].isdisjoint(holding[v]):
             return DecompositionCheck(
                 False, violation=f"edge ({u},{v}) not inside any bag"
             )
     for v in vertices:
-        if not _connected(adjacency, {i for i, b in enumerate(bags) if v in b}):
+        if not _connected(adjacency, holding[v]):
             return DecompositionCheck(
                 False, violation=f"bags containing {v!r} are not connected"
             )
@@ -213,34 +222,58 @@ def _connected(adjacency: list[set[int]], nodes: set[int]) -> bool:
     seen = {start}
     stack = [start]
     while stack:
-        for j in adjacency[stack.pop()]:
-            if j in nodes and j not in seen:
+        for j in adjacency[stack.pop()] & nodes:
+            if j not in seen:
                 seen.add(j)
                 stack.append(j)
     return len(seen) == len(nodes)
 
 
-def _min_fill_vertex(adj: dict[str, set[str]]) -> str:
-    """The vertex whose elimination adds the fewest fill edges.
+def _fill_in(work: dict[str, set[str]], ns: set[str]) -> int:
+    """The number of edges missing between the vertices ``ns``."""
+    d = len(ns)
+    return (d * (d - 1) - sum(len(work[a] & ns) for a in ns)) // 2
 
-    Vertices are scanned in stable ascending-degree order; a vertex's
-    count stops once it reaches the best so far, and the first vertex of
-    no fill is taken at once.  Counts are doubled, since each missing
-    edge is seen from both of its ends.
+
+def _eliminate_with_fill(work: dict[str, set[str]], fill: dict[str, int],
+                         v: str, ns: set[str]) -> set[str]:
+    """Eliminate ``v``, already taken out of ``work`` with neighbours ``ns``,
+    keeping ``fill`` exact; return the vertices whose fill or degree moved.
+
+    Dropping ``v`` from a neighbour ``a`` removes the missing edges from
+    ``v`` to the rest of ``a``'s neighbourhood.  A fill edge ``ab`` adds
+    one missing edge from ``b`` to each neighbour of ``a`` outside
+    ``b``'s neighbourhood (and the same for ``a``), and completes one for
+    each common neighbour of ``a`` and ``b``.  When ``v`` has no fill,
+    ``ns`` is already a clique and no intersection is needed.
     """
-    best, best_fill = None, float("inf")
-    for v in sorted(adj, key=lambda u: len(adj[u])):
-        ns = adj[v]
-        fill = 0
+    if fill[v] == 0:
+        rest = len(ns) - 1
         for a in ns:
-            fill += len(ns - adj[a]) - 1
-            if fill >= best_fill:
-                break
-        else:
-            if fill == 0:
-                return v
-            best, best_fill = v, fill
-    return best
+            wa = work[a]
+            wa.discard(v)
+            fill[a] -= len(wa) - rest
+        return ns
+    for a in ns:
+        wa = work[a]
+        wa.discard(v)
+        fill[a] -= len(wa) - len(wa & ns)
+    touched = set(ns)
+    for a in ns:
+        wa = work[a]
+        for b in ns - wa:
+            if b == a:
+                continue
+            wb = work[b]
+            common = wa & wb
+            fill[a] += len(wa) - len(common)
+            fill[b] += len(wb) - len(common)
+            for w in common:
+                fill[w] -= 1
+            touched |= common
+            wa.add(b)
+            wb.add(a)
+    return touched
 
 
 def _eliminate(adj: dict, method: str, order: Optional[list[str]] = None
@@ -248,40 +281,54 @@ def _eliminate(adj: dict, method: str, order: Optional[list[str]] = None
     """Tree decomposition from eliminating the vertices of ``adj`` in turn.
 
     The next vertex is the next one of ``order`` when that is given, or
-    else the one of least fill (``min_fill``) or of least degree with ties
-    broken by insertion order (``min_degree``).  A vertex's bag is itself
-    plus its remaining neighbours; the bag's tree edge goes to the bag of
-    the earliest-eliminated of those neighbours, and a bag with none (the
-    last of a connected component) is attached to the final bag.
+    else the one of least fill (``min_fill``) or of least degree
+    (``min_degree``), with ties broken by least degree and then by
+    insertion order.  Both heuristics pop a heap of ``(fill, degree,
+    index)`` or ``(degree, index)`` keys, pushing a fresh key for each
+    vertex whose key moved and skipping keys that are out of date; fill
+    counts are computed once and then kept exact by
+    :func:`_eliminate_with_fill`.  A vertex's bag is itself plus its
+    remaining neighbours; the bag's tree edge goes to the bag of the
+    earliest-eliminated of those neighbours, and a bag with none (the last
+    of a connected component) is attached to the final bag.
     """
     work = {v: set(ns) for v, ns in adj.items()}
+    fill = None
     if order is not None:
         pending = iter(order)
         pick = lambda touched: next(pending)
-    elif method == "min_fill":
-        pick = lambda touched: _min_fill_vertex(work)
-    elif method == "min_degree":
+    else:
         index = {v: i for i, v in enumerate(work)}
-        heap = [(len(ns), index[v], v) for v, ns in work.items()]
+        if method == "min_fill":
+            fill = {v: _fill_in(work, ns) for v, ns in work.items()}
+            key = lambda a: (fill[a], len(work[a]), index[a], a)
+        elif method == "min_degree":
+            key = lambda a: (len(work[a]), index[a], a)
+        else:
+            raise ValueError(f"unknown treewidth heuristic {method!r}")
+        heap = [key(v) for v in work]
         heapify(heap)
 
         def pick(touched):
             for a in touched:
-                heappush(heap, (len(work[a]), index[a], a))
+                heappush(heap, key(a))
             while True:
-                degree, _, v = heappop(heap)
-                if v in work and len(work[v]) == degree:
+                entry = heappop(heap)
+                v = entry[-1]
+                if v in work and key(v) == entry:
                     return v
-    else:
-        raise ValueError(f"unknown treewidth heuristic {method!r}")
     steps = []
-    ns = set()
+    touched = ()
     while work:
-        v = pick(ns)
+        v = pick(touched)
         ns = work.pop(v)
-        for a in ns:
-            work[a] |= ns
-            work[a] -= {a, v}
+        if fill is None:
+            for a in ns:
+                work[a] |= ns
+                work[a] -= {a, v}
+            touched = ns
+        else:
+            touched = _eliminate_with_fill(work, fill, v, ns)
         steps.append((v, ns))
     pos = {v: i for i, (v, _) in enumerate(steps)}
     last = len(steps) - 1

@@ -24,8 +24,10 @@ from teamlog import (
     parse_team,
     variables,
 )
+from teamlog.formulas import And, Or, atom_variables, render_formula
 from teamlog.sat import SatResult, SatStatus, _all_rows
 from teamlog.semantics import SemanticsMode
+from teamlog.structure import GaifmanGraph, TreeDecomposition, _eliminate
 
 # A nested-split PDL formula with a known shape: 10 AST nodes, depth 3,
 # 2 splits, 4 variables, and Gaifman-graph treewidth exactly 2.
@@ -146,3 +148,89 @@ def reference_singleton(f) -> SatResult:
         if evaluate(team, f, SemanticsMode.STRICT):
             return SatResult(SatStatus.SATISFIABLE, team)
     return SatResult(SatStatus.UNSATISFIABLE)
+
+
+# ---------------------------------------------------------------------------
+# Structure references: the recursive Gaifman walk and the rescanning
+# min-fill that the iterative builder and the incremental fill counts
+# replaced
+
+def reference_gaifman(f, team=None) -> GaifmanGraph:
+    """The Gaifman graph built by a recursive walk of the formula."""
+    gg = GaifmanGraph()
+    counter = [0]
+
+    def var_vertex(name):
+        vid = f"var:{name}"
+        gg.add_vertex(vid, "variable", name)
+        return vid
+
+    def walk(node):
+        if isinstance(node, VarRef):
+            return var_vertex(node.name)
+        vid = f"sub:{counter[0]}"
+        counter[0] += 1
+        if isinstance(node, (And, Or)):
+            gg.add_vertex(vid, "subformula", "&" if isinstance(node, And) else "|")
+            for child in (node.left, node.right):
+                gg.add_edge(vid, walk(child), "child")
+        elif isinstance(node, Not):
+            gg.add_vertex(vid, "subformula", "!")
+            gg.add_edge(vid, var_vertex(node.child.name), "child")
+        else:
+            gg.add_vertex(vid, "subformula", render_formula(node))
+            if isinstance(node, (Dep, Inc, Indep)):
+                used = atom_variables(node)
+                for v in used:
+                    gg.add_edge(vid, var_vertex(v), "DEP")
+                for i, a in enumerate(used):
+                    for b in used[i + 1:]:
+                        gg.add_edge(var_vertex(a), var_vertex(b), "DEP")
+        return vid
+
+    walk(f)
+    if team is not None:
+        for i, row in enumerate(team.rows):
+            cid = f"team:{i}"
+            gg.add_vertex(cid, "team", f"c{i + 1}")
+            for v in variables(f):
+                value = row[team.index(v)]
+                gg.add_edge(cid, var_vertex(v), "isTrue" if value else "isFalse")
+    return gg
+
+
+def reference_min_fill_vertex(adj: dict[str, set[str]]) -> str:
+    """The vertex whose elimination adds the fewest fill edges.
+
+    Vertices are scanned in stable ascending-degree order; a vertex's
+    count stops once it reaches the best so far, and the first vertex of
+    no fill is taken at once.  Counts are doubled, since each missing
+    edge is seen from both of its ends.
+    """
+    best, best_fill = None, float("inf")
+    for v in sorted(adj, key=lambda u: len(adj[u])):
+        ns = adj[v]
+        fill = 0
+        for a in ns:
+            fill += len(ns - adj[a]) - 1
+            if fill >= best_fill:
+                break
+        else:
+            if fill == 0:
+                return v
+            best, best_fill = v, fill
+    return best
+
+
+def reference_min_fill(adj: dict[str, set[str]]) -> TreeDecomposition:
+    """The min-fill decomposition, rescanning every vertex at each step."""
+    work = {v: set(ns) for v, ns in adj.items()}
+    order = []
+    while work:
+        v = reference_min_fill_vertex(work)
+        ns = work.pop(v)
+        for a in ns:
+            work[a] |= ns
+            work[a] -= {a, v}
+        order.append(v)
+    return _eliminate(adj, "min_fill", order)

@@ -106,6 +106,36 @@ class TestMc:
             assert report["result"] == {"satisfied": True}
 
 
+class TestDeepStructure:
+    """``params``, ``graph`` and ``decomp`` on conjunction chains nested
+    deeper than Python's default recursion limit."""
+
+    @pytest.fixture(autouse=True)
+    def default_recursion_limit(self):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield
+        sys.setrecursionlimit(old)
+
+    @pytest.mark.parametrize("text, size", [
+        (" & ".join(f"=(x{i}; x{i + 1})" for i in range(1100)), 2199),
+        (" & ".join(["x1", "!x2", "=(x3; x4)", "=(; x5)"] * 2500),
+         9_999 + 10_000 + 2_500),
+    ], ids=["1100-atom dependence chain", "10^4-atom chain"])
+    def test_structure_commands_answer(self, files, capsys, text, size):
+        f = files("f.tl", text)
+        code, report = run(capsys, "params", f)
+        assert code == EXIT_OK
+        assert report["result"]["formula_size"] == size
+        code, decomp = run(capsys, "decomp", f)
+        assert code == EXIT_OK
+        assert decomp["result"]["width"] == report["result"]["formula_tw"]
+        assert main(["graph", f]) == EXIT_OK
+        dot = capsys.readouterr().out
+        vertices = {v for bag in decomp["result"]["bags"] for v in bag}
+        assert dot.count(" [label=") == len(vertices)
+
+
 class TestSat:
     def test_brute_with_witness(self, files, capsys):
         f = files("f.tl", "=(x; y)")

@@ -225,6 +225,23 @@ class TestEvaluate:
         with pytest.raises(UnknownVariableError):
             evaluate(t, parse_formula("y"), STRICT)
 
+    @pytest.mark.parametrize("text, missing", [
+        ("zeta | !b", "['b', 'zeta']"),
+        ("=(c, x; a) & d", "['a', 'c']"),
+        ("ind(q; x | p) & x", "['p', 'q']"),
+        ("inc(x, e; d, x)", "['e']"),
+        ("T | (x & !d)", None),
+    ])
+    def test_unknown_variables_named_in_sorted_order(self, text, missing):
+        f = parse_formula(text)
+        if missing is None:
+            TeamEvaluator(("x", "d"), [(0, 1)], f, STRICT)
+            return
+        with pytest.raises(UnknownVariableError) as err:
+            TeamEvaluator(("x", "d"), [(0, 1)], f, STRICT)
+        assert str(err.value) == (
+            f"variables {missing} not in team domain ('x', 'd')")
+
 
 class TestSemanticLawsSmall:
     """Exhaustive desk-scale checks of the closure laws; the acceptance

@@ -26,8 +26,6 @@ RECURSION_ALLOWED = {
     ("semantics.py", frozenset({"TeamEvaluator.check_at",
                                 "TeamEvaluator._check_split"})):
         "split nesting: each nested split level is one more call",
-    ("structure.py", frozenset({"build_gaifman.walk"})):
-        "waits for a min-fill that scales to the graphs an iterative walk reaches",
     ("structure.py", frozenset({"treewidth_exact.search",
                                 "treewidth_exact.search.branch"})):
         "depth is the vertex count, at most 16",

@@ -19,6 +19,7 @@ from teamlog import (
     validate_decomposition,
     variables,
 )
+from teamlog import structure
 from teamlog.reductions import RandomFormulaConfig, random_formula, LogicKind
 from teamlog.structure import GaifmanGraph, decomposition_to_object
 
@@ -27,6 +28,8 @@ from conftest import (
     EXAMPLE_TEAM_TEXT,
     child_env,
     random_team,
+    reference_gaifman,
+    reference_min_fill,
 )
 
 
@@ -37,6 +40,81 @@ def path_graph(n):
     for i in range(n - 1):
         g.add_edge(f"v{i}", f"v{i+1}", "child")
     return g
+
+
+def dep_chain(atoms, seed=0):
+    """``=(x_i[, x_{i-1}]; x_{i+1})`` for i = 1..atoms, folded left into a
+    conjunction ``atoms`` deep, over shuffled variable names."""
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(atoms + 1)]
+    rng.shuffle(names)
+    parts = []
+    for i in range(atoms):
+        xs = [names[i]] + ([names[i - 1]] if i and rng.random() < 0.5 else [])
+        parts.append(f"=({', '.join(xs)}; {names[i + 1]})")
+    return " & ".join(parts)
+
+
+def graph_from_edges(n, edges, rng=None):
+    """Vertices ``v0..v{n-1}``, inserted in shuffled order when ``rng`` is
+    given, so that insertion order and names disagree."""
+    names = [f"v{i}" for i in range(n)]
+    if rng is not None:
+        rng.shuffle(names)
+    g = GaifmanGraph()
+    for name in names:
+        g.add_vertex(name, "subformula", name)
+    for i, j in edges:
+        g.add_edge(f"v{i}", f"v{j}", "child")
+    return g
+
+
+def structured_graphs(rng):
+    """Graphs where many vertices tie on fill and degree, or that are
+    empty, a single vertex, complete or disconnected."""
+    yield graph_from_edges(0, [])
+    yield graph_from_edges(1, [], rng)
+    yield graph_from_edges(7, [], rng)
+    for n in (2, 5, 9):
+        yield graph_from_edges(n, [(i, j) for i in range(n) for j in range(i)], rng)
+    for n in (3, 8, 13):
+        yield graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)], rng)
+    for w, h in ((3, 3), (4, 5)):
+        yield graph_from_edges(w * h, [(r * w + c, r * w + c + 1) for r in range(h)
+                                       for c in range(w - 1)]
+                               + [(r * w + c, (r + 1) * w + c) for r in range(h - 1)
+                                  for c in range(w)], rng)
+    for a, b in ((2, 5), (3, 4)):
+        yield graph_from_edges(a + b, [(i, a + j) for i in range(a)
+                                       for j in range(b)], rng)
+    for n, steps in ((10, (1, 3)), (12, (1, 2, 5))):
+        yield graph_from_edges(n, [(i, (i + k) % n) for i in range(n)
+                                   for k in steps], rng)
+    # three cliques and a path, no edge between them
+    yield graph_from_edges(14, [(i, j) for i in range(4) for j in range(i)]
+                           + [(i, j) for i in range(4, 8) for j in range(4, i)]
+                           + [(8, 9)] + [(i, i + 1) for i in range(10, 13)], rng)
+
+
+def random_graph(rng, n, p):
+    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i)
+                                if rng.random() < p], rng)
+
+
+def wide_team(rng, f, rows):
+    """A team of ``rows`` rows over the variables of ``f`` and seven more,
+    so that even a formula of few variables gets many rows."""
+    domain = tuple(sorted(set(variables(f)) | {f"pad{i}" for i in range(7)}))
+    return random_team(rng, domain, max_rows=rows, min_rows=rows)
+
+
+def same_graph(a, b):
+    """Equal vertices, labels, tags and the insertion order of each."""
+    assert list(a.info.items()) == list(b.info.items())
+    assert list(a.adj) == list(b.adj)
+    for u in a.adj:
+        assert list(a.adj[u].items()) == list(b.adj[u].items()), u
+    assert to_dot(a) == to_dot(b)
 
 
 class TestGaifman:
@@ -81,6 +159,32 @@ class TestGaifman:
             for b in ("x", "y", "z"):
                 if a < b:
                     assert (f"var:{a}", f"var:{b}") in g.edges()
+
+
+    def test_matches_recursive_walk(self):
+        rng = random.Random(7)
+        for seed in range(150):
+            f = random_formula(RandomFormulaConfig(
+                logic=rng.choice(list(LogicKind)), max_vars=rng.randint(1, 7),
+                max_nodes=rng.randint(1, 40), seed=seed,
+            ))
+            team = wide_team(rng, f, rng.choice((4, 16, 128))) if seed % 3 else None
+            same_graph(build_gaifman(f, team), reference_gaifman(f, team))
+
+    def test_shared_subformula_gets_one_vertex_per_occurrence(self):
+        x = parse_formula("=(x; y) | !y")
+        g = build_gaifman(structure.And(x, x))
+        assert [v for v in g.vertices() if v.startswith("sub:")] == [
+            f"sub:{i}" for i in range(7)]
+
+    def test_deep_formulas(self):
+        # deeper than the default recursion limit allows a recursive walk
+        text = "".join(f"(x{i} & " for i in range(1100)) + "y" + ")" * 1100
+        g = build_gaifman(parse_formula(text))
+        assert len(g) == 1100 + 1101
+        g = build_gaifman(parse_formula(" & ".join(["x", "!y"] * 5000)))
+        assert len(g) == 9999 + 5000 + 2
+        assert len(g.edges()) == 9998 + 10000 + 5000
 
 
 class TestValidator:
@@ -153,6 +257,28 @@ class TestValidator:
         if not valid:
             assert "not a tree" in check.violation
 
+    @pytest.mark.parametrize("bags, edges, violation", [
+        (({"v0", "v1"}, {"v1", "v2"}), ((0, 2),), "edge (0,2) out of range"),
+        (({"v0", "v1"}, {"v1", "v2"}), ((-1, 0),), "edge (-1,0) out of range"),
+        (({"v0", "v1"}, {"v1", "v2"}, {"v2"}), ((0, 1),),
+         "bag graph is not a tree"),
+        (({"v0"}, {"v1"}), ((0, 1),),
+         "vertices not covered by any bag: ['v2']"),
+        (({"v0", "v1"}, {"v2"}), ((0, 1),), "edge (v1,v2) not inside any bag"),
+        (({"v0", "v1"}, {"v2"}, {"v1", "v2"}), ((0, 1), (1, 2)),
+         "bags containing 'v1' are not connected"),
+        # with several breaches, the first check in this order reports
+        (({"v0"}, {"v1"}, {"v2"}), ((0, 1), (0, 3)), "edge (0,3) out of range"),
+        (({"v0"}, {"v3"}, {"v2"}), ((0, 1),), "bag graph is not a tree"),
+        (({"v0", "v3"}, {"v2"}), ((0, 1),),
+         "vertices not covered by any bag: ['v1']"),
+        (({"v0", "v1"}, {"v2"}, {"v1"}), ((0, 1), (1, 2)),
+         "edge (v1,v2) not inside any bag"),
+    ])
+    def test_first_violation_reported(self, bags, edges, violation):
+        d = TreeDecomposition(tuple(map(frozenset, bags)), edges)
+        assert validate_decomposition(path_graph(3), d).violation == violation
+
     def test_disconnected_occurrence_detected(self):
         g = path_graph(3)
         d = TreeDecomposition(
@@ -217,6 +343,56 @@ class TestTreewidth:
                 assert validate_decomposition(g, d).valid
                 if exact is not None:
                     assert w >= exact
+
+
+class TestMinFillOracle:
+    """The incremental min-fill against the rescan it replaced: the same
+    vertex choices, so the same decomposition."""
+
+    def check(self, g):
+        width, decomp = treewidth_upper(g)
+        assert decomp == reference_min_fill(g.adj)
+        assert validate_decomposition(g, decomp).valid
+
+    def test_structured_graphs(self):
+        for seed in range(5):
+            for g in structured_graphs(random.Random(seed)):
+                self.check(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            self.check(random_graph(rng, rng.randint(0, 30), rng.random()))
+
+    def test_gaifman_graphs_with_teams(self):
+        rng = random.Random(5)
+        for seed in range(60):
+            f = random_formula(RandomFormulaConfig(
+                logic=rng.choice(list(LogicKind)), max_vars=rng.randint(2, 8),
+                max_nodes=rng.randint(3, 40), seed=seed,
+            ))
+            self.check(build_gaifman(f))
+            self.check(build_gaifman(f, wide_team(rng, f, rng.choice((16, 64, 128)))))
+
+    def test_deep_chain(self):
+        self.check(build_gaifman(parse_formula(dep_chain(1100))))
+
+    def test_exact_treewidth_keeps_its_answers(self, monkeypatch):
+        # treewidth_exact starts its search from the min-fill width
+        rng = random.Random(11)
+        graphs = [random_graph(rng, rng.randint(1, 12), rng.random())
+                  for _ in range(40)]
+        graphs += [g for g in structured_graphs(rng) if len(g) <= 16]
+        found = [treewidth_exact(g) for g in graphs]
+        eliminate = structure._eliminate
+
+        def rescanning(adj, method, order=None):
+            if order is None and method == "min_fill":
+                return reference_min_fill(adj)
+            return eliminate(adj, method, order)
+
+        monkeypatch.setattr(structure, "_eliminate", rescanning)
+        assert [treewidth_exact(g) for g in graphs] == found
 
 
 def test_no_networkx_needed():
