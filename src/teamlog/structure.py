@@ -54,11 +54,22 @@ _DEP_ATOMS = (Dep, Inc, Indep)
 
 class GaifmanGraph:
     """Undirected graph: ``adj`` maps each vertex to its neighbours and
-    each neighbour to its edge's tags; ``info`` maps it to (kind, label)."""
+    each neighbour to its edge's tags; ``info`` maps it to (kind, label).
+
+    Both directions of an edge hold one frozen tag set, and edges with
+    equal tags share one, so a graph holds a handful of tag sets however
+    many edges it has.
+    """
 
     def __init__(self):
-        self.adj: dict[str, dict[str, set[str]]] = {}
+        self.adj: dict[str, dict[str, frozenset[str]]] = {}
         self.info: dict[str, tuple[str, str]] = {}
+        self._tag_sets: dict[frozenset[str], frozenset[str]] = {}
+
+    def _tags(self, *names: str) -> frozenset[str]:
+        """The graph's shared tag set holding ``names``."""
+        key = frozenset(names)
+        return self._tag_sets.setdefault(key, key)
 
     def add_vertex(self, vid: str, kind: str, label: str) -> None:
         if vid not in self.adj:
@@ -68,12 +79,11 @@ class GaifmanGraph:
     def add_edge(self, u: str, v: str, tag: str) -> None:
         if u == v:
             return
-        tags = self.adj.setdefault(u, {}).get(v)
-        if tags is None:
-            tags = set()
-            self.adj[u][v] = tags
-            self.adj.setdefault(v, {})[u] = tags
-        tags.add(tag)
+        adj = self.adj
+        nbrs = adj.setdefault(u, {})
+        tags = nbrs.get(v, ())
+        if tag not in tags:
+            nbrs[v] = adj.setdefault(v, {})[u] = self._tags(tag, *tags)
 
     def vertices(self) -> list[str]:
         return list(self.adj)
@@ -90,7 +100,7 @@ class GaifmanGraph:
         return self.info[vid][1]
 
     def provenance(self, u: str, v: str) -> frozenset[str]:
-        return frozenset(self.adj[u][v])
+        return self.adj[u][v]
 
     def __len__(self) -> int:
         return len(self.adj)
@@ -106,12 +116,7 @@ def build_gaifman(f: Formula, team: Optional[Team] = None) -> GaifmanGraph:
                 f"variables {missing} not in team domain {team.domain}"
             )
     gg = GaifmanGraph()
-
-    def var_vertex(name: str) -> str:
-        vid = f"var:{name}"
-        gg.add_vertex(vid, "variable", name)
-        return vid
-
+    add_vertex, add_edge = gg.add_vertex, gg.add_edge
     # Pre-order by an explicit stack.  Vertices are added when reached and
     # a ``child`` edge once the child's subtree is done, so vertices and
     # each vertex's neighbours keep the order of a recursive walk.
@@ -120,42 +125,46 @@ def build_gaifman(f: Formula, team: Optional[Team] = None) -> GaifmanGraph:
     todo: list = [(0, None)]
     while todo:
         i, up = todo.pop()
-        if i is None:  # ``up`` is (parent, child) with the child's subtree done
-            gg.add_edge(*up, "child")
+        if type(i) is str:  # (child, parent) with the child's subtree done
+            add_edge(up, i, "child")
             continue
         node = nodes[i]
         t = type(node)
         if t is VarRef:
-            vid = var_vertex(node.name)
+            vid = "var:" + node.name
+            add_vertex(vid, "variable", node.name)
         else:
             vid = f"sub:{count}"
             count += 1
             label = ("&" if t is And else "|" if t is Or else "!" if t is Not
                      else render_formula(node))
-            gg.add_vertex(vid, "subformula", label)
+            add_vertex(vid, "subformula", label)
             if t in _DEP_ATOMS:
                 used = atom_variables(node)
                 for v in used:
-                    gg.add_edge(vid, var_vertex(v), "DEP")
+                    add_vertex("var:" + v, "variable", v)
+                    add_edge(vid, "var:" + v, "DEP")
                 # All of an atom's variables must share a decomposition
                 # bag, so they form a clique.
                 for j, a in enumerate(used):
                     for b in used[j + 1:]:
-                        gg.add_edge(var_vertex(a), var_vertex(b), "DEP")
+                        add_edge("var:" + a, "var:" + b, "DEP")
         if up is not None:
-            todo.append((None, (up, vid)))
-        todo += [(k, vid) for k in reversed(kids[i])]
+            todo.append((vid, up))
+        for k in reversed(kids[i]):
+            todo.append((k, vid))
     if team is not None:
         # Every row vertex is new and every variable vertex exists, so each
         # row's edges go straight into both adjacency dicts.
         adj = gg.adj
         columns = [(f"var:{v}", adj[f"var:{v}"], team.index(v)) for v in fvars]
+        by_value = (gg._tags("isFalse"), gg._tags("isTrue"))
         for i, row in enumerate(team.rows):
             cid = f"team:{i}"
-            gg.add_vertex(cid, "team", f"c{i + 1}")
+            add_vertex(cid, "team", f"c{i + 1}")
             row_adj = adj[cid]
             for vid, var_adj, j in columns:
-                row_adj[vid] = var_adj[cid] = {"isTrue" if row[j] else "isFalse"}
+                row_adj[vid] = var_adj[cid] = by_value[row[j]]
     return gg
 
 
@@ -285,12 +294,15 @@ def _eliminate(adj: dict, method: str, order: Optional[list[str]] = None
     (``min_degree``), with ties broken by least degree and then by
     insertion order.  Both heuristics pop a heap of ``(fill, degree,
     index)`` or ``(degree, index)`` keys, pushing a fresh key for each
-    vertex whose key moved and skipping keys that are out of date; fill
-    counts are computed once and then kept exact by
-    :func:`_eliminate_with_fill`.  A vertex's bag is itself plus its
-    remaining neighbours; the bag's tree edge goes to the bag of the
-    earliest-eliminated of those neighbours, and a bag with none (the last
-    of a connected component) is attached to the final bag.
+    vertex whose key moved and skipping keys that are out of date; the
+    heap is rebuilt from the current keys once it holds more than twice
+    as many keys as vertices remain.  Fill counts are computed once and
+    then kept exact by :func:`_eliminate_with_fill`.
+
+    A vertex's bag is itself plus its remaining neighbours; the bag's tree
+    edge goes to the bag of the earliest-eliminated of those neighbours,
+    and a bag with none (the last of a connected component) is attached
+    to the final bag.
     """
     work = {v: set(ns) for v, ns in adj.items()}
     fill = None
@@ -312,6 +324,9 @@ def _eliminate(adj: dict, method: str, order: Optional[list[str]] = None
         def pick(touched):
             for a in touched:
                 heappush(heap, key(a))
+            if len(heap) > 2 * len(work):
+                heap[:] = [key(v) for v in work]
+                heapify(heap)
             while True:
                 entry = heappop(heap)
                 v = entry[-1]
