@@ -1,19 +1,21 @@
 """Bottom-up model checking over satisfying-subteam tables.
 
 Subteams of the input team are bitmasks over its canonical row order,
-so disjointness and union of subteams are single word operations.  For
-a fixed team size the table has boundedly many entries per node and the
-overall work is linear in the formula, which is what makes this route
-scale where the recursive split enumeration does not.
+and a node's table is one int over the subteam lattice (see
+:func:`~teamlog.semantics.lattice`), so a conjunction is one ``&`` and a
+split a walk of shifts and masks.  For a fixed team size the work is
+linear in the formula: the paper's FPT algorithm for team size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import EnumerationCapError
 from .formulas import And, Formula, Or
-from .semantics import DEFAULT_ENUMERATION_CAP, SemanticsMode, TeamEvaluator, evaluate
+from .semantics import (DEFAULT_ENUMERATION_CAP, SemanticsMode, TeamEvaluator,
+                        evaluate, lattice, members)
 # Re-exported: the benchmark's tracer tests look eval_atom up on this module.
 from .semantics import eval_atom  # noqa: F401
 from .teams import Team
@@ -23,16 +25,55 @@ __all__ = ["SatSetTable", "build_sat_table", "mc_bottom_up", "mc"]
 
 @dataclass(frozen=True)
 class SatSetTable:
-    """Per-node sets of satisfying subteams, as row bitmasks, by position."""
+    """Per-node satisfying subteams, by position: bit ``m`` of ``bits[i]``
+    is set iff the subteam with row bitmask ``m`` satisfies ``nodes[i]``.
+    The sets of masks are decoded only when asked for."""
 
     team: Team
-    entries: tuple[tuple[Formula, frozenset[int]], ...]
+    nodes: tuple[Formula, ...]
+    bits: tuple[int, ...]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Formula, frozenset[int]], ...]:
+        """``(node, satisfying row bitmasks)`` by position."""
+        return tuple((n, frozenset(members(b)))
+                     for n, b in zip(self.nodes, self.bits))
 
     def masks_for(self, node: Formula) -> frozenset[int]:
-        for n, masks in self.entries:
+        for n, b in zip(self.nodes, self.bits):
             if n is node:
-                return masks
+                return frozenset(members(b))
         raise KeyError(f"node not in table: {node!r}")
+
+
+def _join(without: tuple[int, ...], left: int, right: int, strict: bool) -> int:
+    """The unions ``m | r`` of a left subteam ``m`` and a right one ``r``,
+    disjoint ones only when ``strict``.  Per ``m`` of the sparser side the
+    other side is cut (strict) or projected (lax) to the rows outside
+    ``m``, so ``<< m`` adds ``m`` to all of it.  The ``m`` are walked as a
+    trie, highest row first, so masks with equal high rows share cuts."""
+    if left.bit_count() > right.bit_count():
+        left, right = right, left
+    out = 0
+    # (rows still open, m's rows so far, the members of ``left`` with
+    # those rows shifted out, ``right`` cut to the rows outside m)
+    stack = [(len(without), 0, left, right)] if left else []
+    while stack:
+        j, m, q, part = stack.pop()
+        if j == 0:
+            out |= part << m
+            continue
+        j -= 1
+        bit = 1 << j
+        low, high = q & (1 << bit) - 1, q >> bit
+        if low:
+            stack.append((j, m, low, part))
+        if high:
+            kept = part & without[j]
+            part = kept if strict else kept | (part ^ kept) >> bit
+            if part:
+                stack.append((j, m | bit, high, part))
+    return out
 
 
 def build_sat_table(team: Team, f: Formula, mode: SemanticsMode,
@@ -43,23 +84,19 @@ def build_sat_table(team: Team, f: Formula, mode: SemanticsMode,
             f"team of size {len(team)} exceeds the enumeration cap {cap}"
         )
     ev = TeamEvaluator(team.domain, team.rows, f, mode)
-    sets: list = [None] * len(ev.nodes)
-    for i in range(len(sets) - 1, -1, -1):
-        node = ev.nodes[i]
-        if not isinstance(node, (And, Or)):
-            masks = ev.atom_table(node)
-        elif isinstance(node, And):
-            masks = sets[ev.kids[i][0]] & sets[ev.kids[i][1]]
+    without = lattice(len(team))[1]
+    strict = mode is SemanticsMode.STRICT
+    bits = [0] * len(ev.nodes)
+    for i in range(len(bits) - 1, -1, -1):
+        t = type(ev.nodes[i])
+        if t is And:
+            bits[i] = bits[ev.kids[i][0]] & bits[ev.kids[i][1]]
+        elif t is Or:
+            bits[i] = _join(without, bits[ev.kids[i][0]], bits[ev.kids[i][1]],
+                            strict)
         else:
-            left, right = sets[ev.kids[i][0]], sets[ev.kids[i][1]]
-            if mode is SemanticsMode.STRICT:
-                masks = frozenset(
-                    m1 | m2 for m1 in left for m2 in right if m1 & m2 == 0
-                )
-            else:
-                masks = frozenset(m1 | m2 for m1 in left for m2 in right)
-        sets[i] = masks
-    return SatSetTable(team, tuple(zip(ev.nodes, sets)))
+            bits[i] = ev.atom_bits(i)
+    return SatSetTable(team, tuple(ev.nodes), tuple(bits))
 
 
 def mc_bottom_up(team: Team, f: Formula, mode: SemanticsMode,
@@ -67,7 +104,7 @@ def mc_bottom_up(team: Team, f: Formula, mode: SemanticsMode,
     """Model check by table construction; agrees with :func:`evaluate`."""
     table = build_sat_table(team, f, mode, cap)
     full = (1 << len(team)) - 1
-    return full in table.entries[0][1]
+    return table.bits[0] >> full & 1 == 1
 
 
 def mc(team: Team, f: Formula, mode: SemanticsMode, algo: str = "recursive",

@@ -38,7 +38,7 @@ from .formulas import (
     node_array,
     variables,
 )
-from .semantics import SemanticsMode, TeamEvaluator, _bits, eval_inc
+from .semantics import SemanticsMode, TeamEvaluator, _bits, eval_inc, lattice
 from .teams import Team
 
 __all__ = [
@@ -132,13 +132,6 @@ def sat_brute(f: Formula, mode: SemanticsMode,
     return SatResult(SatStatus.UNSATISFIABLE)
 
 
-def _periodic(k: int, width: int) -> int:
-    """Bit ``i`` of the result is bit ``k`` of ``i``, for ``i < width``."""
-    period = 1 << (k + 1)
-    pattern = ((1 << (1 << k)) - 1) << (1 << k)
-    return ((1 << width) - 1) // ((1 << period) - 1) * pattern
-
-
 def sat_singleton(f: Formula,
                   budget: int = DEFAULT_FIXPOINT_BUDGET) -> SatResult:
     """Search satisfying singleton teams; complete for PL, PDL and PIND.
@@ -164,8 +157,8 @@ def sat_singleton(f: Formula,
     n = len(vs)
     low = min(n, _BLOCK_BITS)
     size = 1 << low
-    full = (1 << size) - 1
-    periodic = [_periodic(k, size) for k in range(low)]
+    full, without = lattice(low)
+    periodic = [full ^ w for w in without]  # bit i of entry k: bit k of i
     # variable vs[j] is bit n-1-j of an assignment's index in _all_rows
     shift = {v: n - 1 - j for j, v in enumerate(vs)}
     nodes, kids = node_array(f)

@@ -80,6 +80,27 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def members(bits: int) -> list[int]:
+    """:func:`_bits` in time linear in the length of ``bits``."""
+    return [i for i, ch in enumerate(reversed(bin(bits))) if ch == "1"]
+
+
+_LATTICES: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+
+def lattice(n: int) -> tuple[int, tuple[int, ...]]:
+    """The subteams of ``n`` rows as the bits of one int, bit ``m`` for the
+    subteam with row bitmask ``m``: ``(all of them, (those without row j
+    for each j < n))``, built once per ``n``."""
+    lat = _LATTICES.get(n)
+    if lat is None:
+        full = (1 << (1 << n)) - 1
+        # full // (2^k + 1) repeats k set bits, then k clear ones (k = 2^j)
+        lat = _LATTICES[n] = (full, tuple(full // ((1 << (1 << j)) + 1)
+                                          for j in range(n)))
+    return lat
+
+
 class TeamEvaluator:
     """Evaluator over subteams of a fixed row set.
 
@@ -177,49 +198,38 @@ class TeamEvaluator:
             raise TypeError(f"not an atomic formula: {node!r}")
         return cons
 
-    def atom_table(self, node: Formula) -> frozenset[int]:
-        """Every subteam of the row set, as a bitmask, that satisfies the
-        atom ``node`` (a literal, constant or dependency atom).
+    def atom_bits(self, i: int) -> int:
+        """The subteams that satisfy the atom at position ``i``, as a
+        :func:`lattice` int: all but those that, for some constraint, meet
+        ``a`` and ``b`` and avoid ``c``."""
+        cons = self._constraints[i]
+        if cons is None:
+            cons = self._constraints[i] = self._atom(self.nodes[i])
+        full, without = lattice(len(self.rows))
+        avoid = {}  # row mask -> the subteams that share no row with it
+        for rows in {x for con in cons for x in con}:
+            out = full
+            for j in _bits(rows):
+                out &= without[j]
+            avoid[rows] = out
+        bad = 0
+        for a, b, c in cons:
+            bad |= (full ^ avoid[a]) & (full ^ avoid[b]) & avoid[c]
+        return full ^ bad
 
-        Constraints with ``c == 0`` forbid rows (``a == b``) or pairs of
-        rows (one in ``a``, one in ``b``); masks grow row by row over the
-        allowed rows, skipping clashing pairs, so the masks those rules
-        exclude are never built.  The other constraints then filter.
-        """
-        full = (1 << len(self.rows)) - 1
-        allowed = full
-        clash = [0] * len(self.rows)
-        checks = []
-        for a, b, c in self._atom(node):
-            if c:
-                checks.append((a, b, c))
-                continue
-            allowed &= ~(a & b)
-            if a != b:
-                for j in _bits(a):
-                    clash[j] |= b
-                for j in _bits(b):
-                    clash[j] |= a
-        if allowed == full and not any(clash):
-            masks = range(full + 1)
-        else:
-            masks = [0]
-            for j in _bits(allowed):
-                bit = 1 << j
-                avoid = clash[j]
-                if avoid:
-                    masks += [m | bit for m in masks if not m & avoid]
-                else:
-                    masks += [m | bit for m in masks]
-        for a, b, c in checks:
-            masks = [m for m in masks if not (m & a and m & b) or m & c]
-        return frozenset(masks)
+    def atom_table(self, node: Formula) -> frozenset[int]:
+        """:meth:`atom_bits` of the first position that holds ``node``, as
+        the set of satisfying row bitmasks."""
+        return frozenset(members(self.atom_bits(self._position(node))))
 
     def check(self, node: Formula, mask: int) -> bool:
         """:meth:`check_at` the first position that holds ``node``."""
+        return self.check_at(self._position(node), mask)
+
+    def _position(self, node: Formula) -> int:
         for i, g in enumerate(self.nodes):
             if g is node:
-                return self.check_at(i, mask)
+                return i
         raise KeyError(f"not a node of the formula: {node!r}")
 
     def check_at(self, i: int, mask: int) -> bool:

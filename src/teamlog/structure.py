@@ -206,18 +206,18 @@ def validate_decomposition(g: GaifmanGraph, d: TreeDecomposition) -> Decompositi
     for i, bag in enumerate(bags):
         for v in bag:
             holding.setdefault(v, set()).add(i)
-    vertices = set(g.vertices())
-    if holding.keys() != vertices:
-        missing = sorted(vertices - holding.keys())
-        return DecompositionCheck(
-            False, violation=f"vertices not covered by any bag: {missing}"
-        )
+    order = g.vertices()
+    vertices = set(order)
+    for what, odd in (("vertices not covered by any bag", vertices - holding.keys()),
+                      ("bag vertices not in the graph", holding.keys() - vertices)):
+        if odd:
+            return DecompositionCheck(False, violation=f"{what}: {sorted(odd)}")
     for u, v in g.edges():
         if holding[u].isdisjoint(holding[v]):
             return DecompositionCheck(
                 False, violation=f"edge ({u},{v}) not inside any bag"
             )
-    for v in vertices:
+    for v in order:
         if not _connected(adjacency, holding[v]):
             return DecompositionCheck(
                 False, violation=f"bags containing {v!r} are not connected"

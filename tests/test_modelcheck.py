@@ -22,7 +22,7 @@ from teamlog import (
     parse_formula,
     variables,
 )
-from teamlog.modelcheck import build_sat_table
+from teamlog.modelcheck import SatSetTable, build_sat_table
 from teamlog.reductions import (
     RandomFormulaConfig,
     SetSplittingInstance,
@@ -151,6 +151,50 @@ class TestTableOracle:
                     seen.add("indep with z")
         assert {Top, Bot, Not, Or, "indep with z"} <= seen
         assert checked > 1000
+
+
+_NESTED = {
+    "pdl": "(x1 | =(x2; x3)) | (=(x1; x2) | !x4)",
+    "pinc": "((inc(x1; x2) | inc(x3; x4)) | x3) & (x3 | inc(x2, x1; x4, x3))",
+    "pind": "(ind(x1; x2 | x3) | (x1 | ind(x2; x3 | x4))) | B",
+}
+
+
+class TestLargeTableOracle:
+    """Tables of 9 to 12 rows against the pairwise-product reference.
+    ``T | T`` has the densest tables, so the largest joins; the others
+    nest splits over atoms of each logic.  The reference costs seconds at
+    12 rows, so each size runs a few of the formula and mode pairs."""
+
+    @pytest.mark.parametrize("size, text, mode", [
+        (9, "T | T", LAX), (9, _NESTED["pdl"], STRICT),
+        (9, _NESTED["pinc"], LAX), (9, _NESTED["pind"], STRICT),
+        (10, "T | T", STRICT), (10, _NESTED["pdl"], LAX),
+        (10, _NESTED["pind"], LAX),
+        (11, "T | T", LAX), (11, _NESTED["pinc"], STRICT),
+        (12, "T | T", STRICT), (12, _NESTED["pind"], LAX),
+    ])
+    def test_every_node_matches_reference(self, size, text, mode):
+        f = parse_formula(text)
+        t = random_team(random.Random(size), ("x1", "x2", "x3", "x4"),
+                        max_rows=size, min_rows=size)
+        table = build_sat_table(t, f, mode)
+        ref = reference_table(t, f, mode)
+        assert len(table.entries) == len(ref)
+        for node, masks in table.entries:
+            assert masks == ref[id(node)], (node, t.rows)
+        if text == "T | T":
+            assert len(table.masks_for(f)) == 1 << size
+
+    def test_mc_does_not_decode(self, example_team, example_formula,
+                                monkeypatch):
+        def refuse(self):
+            raise AssertionError("mc_bottom_up decoded the table")
+        monkeypatch.setattr(SatSetTable, "entries", property(refuse))
+        for mode in (STRICT, LAX):
+            assert mc_bottom_up(example_team, example_formula, mode)
+            with pytest.raises(AssertionError):
+                build_sat_table(example_team, example_formula, mode).entries
 
 
 class TestDispatch:

@@ -181,6 +181,24 @@ class TestAtomKernel:
                 eval_atom(t, bad)
 
 
+def test_atom_compiles_once_per_evaluator(monkeypatch):
+    # atom_bits reads the constraints that check_at compiled
+    f = parse_formula("=(x; y) & (x | =(y; x))")
+    t = T("xy", (0, 0), (1, 1))
+    compiled = []
+    atom = TeamEvaluator._atom
+    monkeypatch.setattr(TeamEvaluator, "_atom",
+                        lambda self, node: compiled.append(node) or atom(self, node))
+    ev = TeamEvaluator(t.domain, t.rows, f, STRICT)
+    assert ev.check_at(0, 0b11)
+    assert len(compiled) == 3
+    for i, g in enumerate(ev.nodes):
+        if type(g) in (VarRef, Dep):
+            assert ev.atom_table(g) == frozenset(
+                m for m in range(4) if ev.check_at(i, m))
+    assert len(compiled) == 3
+
+
 class TestEvaluate:
     def test_example_formula_strict(self, example_team, example_formula):
         assert evaluate(example_team, example_formula, STRICT)

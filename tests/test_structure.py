@@ -42,6 +42,15 @@ def path_graph(n):
     return g
 
 
+def letter_path(letters):
+    g = GaifmanGraph()
+    for v in letters:
+        g.add_vertex(v, "subformula", v)
+    for u, v in zip(letters, letters[1:]):
+        g.add_edge(u, v, "child")
+    return g
+
+
 def dep_chain(atoms, seed=0):
     """``=(x_i[, x_{i-1}]; x_{i+1})`` for i = 1..atoms, folded left into a
     conjunction ``atoms`` deep, over shuffled variable names."""
@@ -274,10 +283,45 @@ class TestValidator:
          "vertices not covered by any bag: ['v1']"),
         (({"v0", "v1"}, {"v2"}, {"v1"}), ((0, 1), (1, 2)),
          "edge (v1,v2) not inside any bag"),
+        (({"v0", "v1", "x"}, {"v1", "v2"}), ((0, 1),),
+         "bag vertices not in the graph: ['x']"),
+        (({"v0", "v1"}, {"v1", "v2", "x", "w"}), ((0, 1),),
+         "bag vertices not in the graph: ['w', 'x']"),
+        (({"v0", "x"}, {"v2"}), ((0, 1),),
+         "vertices not covered by any bag: ['v1']"),
     ])
     def test_first_violation_reported(self, bags, edges, violation):
         d = TreeDecomposition(tuple(map(frozenset, bags)), edges)
         assert validate_decomposition(path_graph(3), d).violation == violation
+
+    def test_stray_bag_vertex_named(self):
+        # every graph vertex is covered, so only the stray one can be named
+        g = letter_path("abcdefgh")
+        whole = frozenset("abcdefgh")
+        d = TreeDecomposition((whole, frozenset({"x"}), whole), ((0, 1), (1, 2)))
+        assert validate_decomposition(g, d).violation == \
+            "bag vertices not in the graph: ['x']"
+
+    def test_disconnected_vertex_in_graph_order(self):
+        # b..h all have disconnected bags; the first in vertex order is named,
+        # whatever the hash seed
+        code = """
+from teamlog.structure import GaifmanGraph, TreeDecomposition, validate_decomposition
+g = GaifmanGraph()
+for v in "abcdefgh":
+    g.add_vertex(v, "subformula", v)
+for u, v in zip("abcdefg", "bcdefgh"):
+    g.add_edge(u, v, "child")
+whole = frozenset("abcdefgh")
+d = TreeDecomposition((whole, frozenset("a"), whole), ((0, 1), (1, 2)))
+print(validate_decomposition(g, d).violation)
+"""
+        for seed in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", code],
+                                  env=child_env(PYTHONHASHSEED=seed),
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == "bags containing 'b' are not connected\n"
 
     def test_disconnected_occurrence_detected(self):
         g = path_graph(3)
