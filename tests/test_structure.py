@@ -42,15 +42,6 @@ def path_graph(n):
     return g
 
 
-def letter_path(letters):
-    g = GaifmanGraph()
-    for v in letters:
-        g.add_vertex(v, "subformula", v)
-    for u, v in zip(letters, letters[1:]):
-        g.add_edge(u, v, "child")
-    return g
-
-
 def dep_chain(atoms, seed=0):
     """``=(x_i[, x_{i-1}]; x_{i+1})`` for i = 1..atoms, folded left into a
     conjunction ``atoms`` deep, over shuffled variable names."""
@@ -289,18 +280,13 @@ class TestValidator:
          "bag vertices not in the graph: ['w', 'x']"),
         (({"v0", "x"}, {"v2"}), ((0, 1),),
          "vertices not covered by any bag: ['v1']"),
+        # a bag of strays only: named before the bags of v0..v2 fall apart
+        (({"v0", "v1", "v2"}, {"x"}, {"v0", "v1", "v2"}), ((0, 1), (1, 2)),
+         "bag vertices not in the graph: ['x']"),
     ])
     def test_first_violation_reported(self, bags, edges, violation):
         d = TreeDecomposition(tuple(map(frozenset, bags)), edges)
         assert validate_decomposition(path_graph(3), d).violation == violation
-
-    def test_stray_bag_vertex_named(self):
-        # every graph vertex is covered, so only the stray one can be named
-        g = letter_path("abcdefgh")
-        whole = frozenset("abcdefgh")
-        d = TreeDecomposition((whole, frozenset({"x"}), whole), ((0, 1), (1, 2)))
-        assert validate_decomposition(g, d).violation == \
-            "bag vertices not in the graph: ['x']"
 
     def test_disconnected_vertex_in_graph_order(self):
         # b..h all have disconnected bags; the first in vertex order is named,
