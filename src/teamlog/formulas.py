@@ -197,15 +197,23 @@ def atom_variables(atom: Formula) -> tuple[str, ...]:
     return tuple(dict.fromkeys(seq))
 
 
+def variable_names(nodes: list[Formula]) -> set[str]:
+    """The variables that the formulas in ``nodes`` use directly."""
+    names = set()
+    for g in nodes:
+        t = type(g)
+        if t is VarRef:
+            names.add(g.name)
+        elif t is Dep or t is Inc:
+            names.update(g.xs, g.ys)
+        elif t is Indep:
+            names.update(g.xs, g.ys, g.zs)
+    return names
+
+
 def variables(f: Formula) -> tuple[str, ...]:
     """Distinct variables of ``f``, sorted by name."""
-    seen = set()
-    for g in subformulas(f):
-        if isinstance(g, VarRef):
-            seen.add(g.name)
-        elif type(g) in _ATOM_KINDS:
-            seen.update(atom_variables(g))
-    return tuple(sorted(seen))
+    return tuple(sorted(variable_names(subformulas(f))))
 
 
 def formula_size(f: Formula) -> int:

@@ -57,10 +57,11 @@ class SetSplittingInstance:
 
     @classmethod
     def from_object(cls, obj: Mapping) -> "SetSplittingInstance":
-        return cls(
-            tuple(obj["elements"]),
-            tuple(frozenset(block) for block in obj["sets"]),
-        )
+        try:
+            return cls(tuple(obj["elements"]),
+                       tuple(frozenset(block) for block in obj["sets"]))
+        except (KeyError, TypeError) as exc:
+            raise TeamlogError(f"bad set-splitting object: {exc!r}") from exc
 
     def to_object(self) -> dict:
         return {

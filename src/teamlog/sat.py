@@ -13,7 +13,8 @@ Four routes with very different scaling behaviour:
   repair/union rounds with top-down copy/distribution rounds until the
   per-node teams stop growing.
 * :func:`sat_split_free` decides disjunction-free PINC in polynomial
-  time by propagating literal labels through inclusion atoms.
+  time by propagating literal labels through inclusion atoms, then
+  taking the greatest fixpoint of the atoms' row-mask constraints.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from .formulas import (
     node_array,
     variables,
 )
-from .semantics import SemanticsMode, TeamEvaluator, _bits, eval_inc, lattice
+from .semantics import (SemanticsMode, TeamEvaluator, _bits, eval_inc,
+                        lattice, members)
 from .teams import Team
 
 __all__ = [
@@ -232,6 +234,22 @@ class _Reject(Exception):
     pass
 
 
+def _walk_guesses(ycls: list, count: int):
+    """Yield the row masks with at most one row of each class ``ycls[r]``
+    (never a row of class None), by size, then by ascending row list: each
+    size is a depth first walk over the rows in order."""
+    for size in range(count + 1):
+        stack = [(0, 0, ())]  # the next row to try, the rows picked, classes
+        while stack:
+            r, mask, used = stack.pop()
+            if len(used) == size:
+                yield mask
+                continue
+            stack += [(j + 1, mask | 1 << j, used + (ycls[j],))
+                      for j in range(len(ycls) - 1, r - 1, -1)
+                      if ycls[j] is not None and ycls[j] not in used]
+
+
 class _FixpointSearch:
     """States hold a row bitmask over all assignments to VAR(f) per
     position of the evaluator's node array; a negated literal is one
@@ -248,22 +266,32 @@ class _FixpointSearch:
                      if not (i and type(nodes[i - 1]) is Not)]
         self.atoms = [i for i in self.live if len(kids[i]) < 2]
         self._mirrors: dict[int, list[int]] = {}
+        self._classes: dict[int, tuple[list, int]] = {}
 
     # -- initial guesses ----------------------------------------------------
 
-    def _atom_candidates(self, i: int) -> list[int]:
-        atom = self.ev.nodes[i]
-        if not isinstance(atom, Inc):
-            # The empty team or one row that satisfies the literal.
-            return [0] + [1 << r for r in range(len(self.ev.rows))
-                          if self.ev.check_at(i, 1 << r)]
-        # One row per y-value class: the bounded guesses the correctness
-        # argument needs (at most 2^arity rows).
-        picks = [[0] + [1 << r for r in _bits(ymask)]
-                 for ymask in self.ev.value_masks(atom.ys).values()]
-        cands = [sum(combo) for combo in itertools.product(*picks)]
-        cands.sort(key=lambda m: (m.bit_count(), _bits(m)))
-        return cands
+    def _atom_candidates(self, i: int):
+        """An iterator over the initial guesses for the atom at position
+        ``i``: at most one row per class, by size, then by ascending row
+        list.  A literal has one class, the rows it accepts.  An inclusion
+        atom has one per y-value: the bounded guesses the correctness
+        argument needs (at most 2^arity rows).  The guesses are walked
+        afresh each time, so memory does not grow with their number."""
+        found = self._classes.get(i)
+        if found is None:
+            ev = self.ev
+            atom = ev.nodes[i]
+            if isinstance(atom, Inc):
+                classes = list(ev.value_masks(atom.ys).values())
+            else:
+                classes = [sum(1 << r for r in range(len(ev.rows))
+                               if ev.check_at(i, 1 << r))]
+            ycls = [None] * len(ev.rows)
+            for k, cls in enumerate(classes):
+                for r in members(cls):
+                    ycls[r] = k
+            found = self._classes[i] = (ycls, len(classes))
+        return _walk_guesses(*found)
 
     # -- rounds -------------------------------------------------------------
 
@@ -272,8 +300,7 @@ class _FixpointSearch:
         atom at position ``i`` copied into the y-positions."""
         mirror = self._mirrors.get(i)
         if mirror is None:
-            atom = self.ev.nodes[i]
-            index = {v: k for k, v in enumerate(self.ev.domain)}
+            atom, index = self.ev.nodes[i], self.ev._index
             pairs = [(index[x], index[y]) for x, y in zip(atom.xs, atom.ys)]
             position = {row: k for k, row in enumerate(self.ev.rows)}
             mirror = [position[_mirrored(row, pairs)] for row in self.ev.rows]
@@ -349,16 +376,29 @@ class _FixpointSearch:
             pos = routes[-1][0] + 1
 
     def run(self) -> Optional[int]:
-        """The row mask of the first accepted fixpoint, or None."""
-        candidate_lists = [self._atom_candidates(i) for i in self.atoms]
-        for combo in itertools.product(*candidate_lists):
-            state = [0] * len(self.ev.nodes)
-            for i, guess in zip(self.atoms, combo):
-                state[i] = guess
+        """The row mask of the first accepted fixpoint, or None.  The atoms'
+        guesses turn as an odometer, the last atom fastest; a wheel that
+        runs out restarts its generator and turns the one before it."""
+        atoms = self.atoms
+        wheels = [self._atom_candidates(i) for i in atoms]
+        state = [0] * len(self.ev.nodes)
+        for i, wheel in zip(atoms, wheels):
+            state[i] = next(wheel)
+        while True:
             witness = self._search(tuple(state))
             if witness is not None:
                 return witness
-        return None
+            k = len(atoms) - 1
+            while k >= 0:
+                guess = next(wheels[k], None)
+                if guess is not None:
+                    state[atoms[k]] = guess
+                    break
+                wheels[k] = self._atom_candidates(atoms[k])
+                state[atoms[k]] = next(wheels[k])
+                k -= 1
+            if k < 0:
+                return None
 
     def _search(self, state: tuple) -> Optional[int]:
         """Depth first, each state expanded once, on a stack of iterators."""
@@ -412,7 +452,7 @@ def sat_fixpoint(f: Formula, mode: SemanticsMode,
 # Labelling procedure for split-free PINC
 
 def sat_split_free(f: Formula, max_free_vars: int = 20) -> SatResult:
-    """SAT for split-free PINC via label propagation plus pruning.
+    """SAT for split-free PINC: label propagation, then a greatest fixpoint.
 
     Literals pin their variables; inclusion atoms propagate a label on
     a right-hand variable to the left-hand variable at the same
@@ -420,12 +460,12 @@ def sat_split_free(f: Formula, max_free_vars: int = 20) -> SatResult:
 
     Otherwise every satisfying team lies inside the label-consistent
     full team, and split-free inclusion formulas are union closed, so
-    the union of all satisfying teams is the greatest fixpoint of
-    deleting rows whose x-value lacks a y-witness.  The formula is
-    satisfiable iff that fixpoint is nonempty; the fixpoint is the
-    witness.  (The extra pruning matters only for inclusion atoms
-    whose tuples repeat or share variables; for disjoint single
-    occurrences the label-consistent team is already satisfying.)
+    the union of all satisfying teams is the greatest fixpoint of the
+    atoms' kernel constraints, found by deleting rows whose x-value lacks
+    a y-witness.  The formula is satisfiable iff that fixpoint is
+    nonempty; the fixpoint is the witness.  (The pruning matters only for
+    inclusion atoms whose tuples repeat or share variables; for disjoint
+    single occurrences the label-consistent team is already satisfying.)
     """
     kind = logic_kind(f)
     if kind not in (LogicKind.PL, LogicKind.PINC):
@@ -477,27 +517,19 @@ def sat_split_free(f: Formula, max_free_vars: int = 20) -> SatResult:
         free_vals = dict(zip(free, bits))
         rows.append(tuple(labels.get(v, free_vals.get(v)) for v in vs))
 
-    # Greatest-fixpoint pruning: drop rows whose x-value has no
-    # y-witness among the remaining rows, until stable.  Each round
-    # collects every atom's y-values once, so it is linear in the rows.
-    index = {v: i for i, v in enumerate(vs)}
-    coords = [
-        ([index[v] for v in atom.xs], [index[v] for v in atom.ys])
-        for atom in inc_atoms
-    ]
-    while rows:
-        witnessed = [
-            (xi, {tuple(row[i] for i in yi) for row in rows})
-            for xi, yi in coords
-        ]
-        kept = [
-            row for row in rows
-            if all(tuple(row[i] for i in xi) in ycodes
-                   for xi, ycodes in witnessed)
-        ]
-        if len(kept) == len(rows):
-            break
-        rows = kept
-    if not rows:
+    # Greatest fixpoint on one row mask: a subteam that meets an atom's
+    # X_v must meet its Y_v, so while the mask misses Y_v, drop X_v.
+    ev = TeamEvaluator(vs, rows, f, SemanticsMode.STRICT)
+    cons = [con for i in conjuncts(ev.nodes, ev.kids, 0)
+            for con in ev.constraints(i)]
+    mask = (1 << len(rows)) - 1
+    before = None
+    while mask != before:
+        before = mask
+        for a, _, c in cons:
+            if mask & a and not mask & c:
+                mask &= ~a
+    if not mask:
         return SatResult(SatStatus.UNSATISFIABLE)
-    return SatResult(SatStatus.SATISFIABLE, Team(vs, tuple(rows)))
+    return SatResult(SatStatus.SATISFIABLE,
+                     Team(vs, tuple(rows[i] for i in members(mask))))

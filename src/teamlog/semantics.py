@@ -18,6 +18,7 @@ from .formulas import (
     VarRef,
     conjuncts,
     node_array,
+    variable_names,
 )
 from .teams import Team
 
@@ -120,16 +121,7 @@ class TeamEvaluator:
         self.memo: dict[tuple[int, int], bool] = {}
         self._constraints: list = [None] * len(self.nodes)
         self._conjuncts: list = [None] * len(self.nodes)
-        names = set()
-        for node in self.nodes:
-            t = type(node)
-            if t is VarRef:
-                names.add(node.name)
-            elif t is Dep or t is Inc:
-                names.update(node.xs, node.ys)
-            elif t is Indep:
-                names.update(node.xs, node.ys, node.zs)
-        missing = sorted(names.difference(domain))
+        missing = sorted(variable_names(self.nodes).difference(domain))
         if missing:
             raise UnknownVariableError(
                 f"variables {missing} not in team domain {domain}"
@@ -138,12 +130,18 @@ class TeamEvaluator:
 
     def value_masks(self, vs) -> dict[tuple, int]:
         """Row bitmask of each value the rows take on the variables ``vs``."""
-        idx = [self._index[v] for v in vs]
+        columns = [[row[self._index[v]] for row in self.rows] for v in vs]
         out: dict[tuple, int] = {}
-        for j, row in enumerate(self.rows):
-            key = tuple([row[i] for i in idx])
+        for j, key in enumerate(zip(*columns) if vs else [()] * len(self.rows)):
             out[key] = out.get(key, 0) | 1 << j
         return out
+
+    def constraints(self, i: int) -> list[tuple[int, int, int]]:
+        """:meth:`_atom` of the node at position ``i``, compiled once."""
+        cons = self._constraints[i]
+        if cons is None:
+            cons = self._constraints[i] = self._atom(self.nodes[i])
+        return cons
 
     def _atom(self, node: Formula) -> list[tuple[int, int, int]]:
         """The atom ``node`` as row-mask constraints ``(a, b, c)``: a
@@ -202,9 +200,7 @@ class TeamEvaluator:
         """The subteams that satisfy the atom at position ``i``, as a
         :func:`lattice` int: all but those that, for some constraint, meet
         ``a`` and ``b`` and avoid ``c``."""
-        cons = self._constraints[i]
-        if cons is None:
-            cons = self._constraints[i] = self._atom(self.nodes[i])
+        cons = self.constraints(i)
         full, without = lattice(len(self.rows))
         avoid = {}  # row mask -> the subteams that share no row with it
         for rows in {x for con in cons for x in con}:
@@ -248,10 +244,7 @@ class TeamEvaluator:
         elif t is Or:
             result = self._check_split(i, mask)
         else:
-            cons = self._constraints[i]
-            if cons is None:
-                cons = self._constraints[i] = self._atom(self.nodes[i])
-            for a, b, c in cons:
+            for a, b, c in self.constraints(i):
                 if mask & a and mask & b and not mask & c:
                     result = False
                     break

@@ -10,7 +10,7 @@ subformula relation, ``DEP`` for atom/variable co-occurrence, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
@@ -108,13 +108,6 @@ class GaifmanGraph:
 
 def build_gaifman(f: Formula, team: Optional[Team] = None) -> GaifmanGraph:
     """Gaifman graph of the syntax structure of ``f`` (and optionally a team)."""
-    if team is not None:
-        fvars = variables(f)
-        missing = [v for v in fvars if v not in team.domain]
-        if missing:
-            raise UnknownVariableError(
-                f"variables {missing} not in team domain {team.domain}"
-            )
     gg = GaifmanGraph()
     add_vertex, add_edge = gg.add_vertex, gg.add_edge
     # Pre-order by an explicit stack.  Vertices are added when reached and
@@ -154,18 +147,29 @@ def build_gaifman(f: Formula, team: Optional[Team] = None) -> GaifmanGraph:
         for k in reversed(kids[i]):
             todo.append((k, vid))
     if team is not None:
-        # Every row vertex is new and every variable vertex exists, so each
-        # row's edges go straight into both adjacency dicts.
-        adj = gg.adj
-        columns = [(f"var:{v}", adj[f"var:{v}"], team.index(v)) for v in fvars]
-        by_value = (gg._tags("isFalse"), gg._tags("isTrue"))
-        for i, row in enumerate(team.rows):
-            cid = f"team:{i}"
-            add_vertex(cid, "team", f"c{i + 1}")
-            row_adj = adj[cid]
-            for vid, var_adj, j in columns:
-                row_adj[vid] = var_adj[cid] = by_value[row[j]]
+        _add_team(gg, variables(f), team)
     return gg
+
+
+def _add_team(gg: GaifmanGraph, fvars: tuple[str, ...], team: Team) -> None:
+    """Add to the formula graph ``gg`` a vertex per team row, joined to
+    each of the formula's variables ``fvars`` by its value there."""
+    missing = [v for v in fvars if v not in team.domain]
+    if missing:
+        raise UnknownVariableError(
+            f"variables {missing} not in team domain {team.domain}"
+        )
+    # Every row vertex is new and every variable vertex exists, so each
+    # row's edges go straight into both adjacency dicts.
+    adj = gg.adj
+    columns = [(f"var:{v}", adj[f"var:{v}"], team.index(v)) for v in fvars]
+    by_value = (gg._tags("isFalse"), gg._tags("isTrue"))
+    for i, row in enumerate(team.rows):
+        cid = f"team:{i}"
+        gg.add_vertex(cid, "team", f"c{i + 1}")
+        row_adj = adj[cid]
+        for vid, var_adj, j in columns:
+            row_adj[vid] = var_adj[cid] = by_value[row[j]]
 
 
 @dataclass(frozen=True)
@@ -441,21 +445,8 @@ class ParameterReport:
     formula_team_tw_exact: Optional[bool] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "formula_size": self.formula_size,
-            "formula_depth": self.formula_depth,
-            "num_variables": self.num_variables,
-            "num_splits": self.num_splits,
-            "arity": self.arity,
-            "formula_tw": self.formula_tw,
-            "formula_tw_exact": self.formula_tw_exact,
-            "formula_tw_method": self.formula_tw_method,
-        }
-        if self.teamsize is not None:
-            out["teamsize"] = self.teamsize
-            out["formula_team_tw"] = self.formula_team_tw
-            out["formula_team_tw_exact"] = self.formula_team_tw_exact
-        return out
+        """The fields in order, without those that are None."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _atom_arity(atom: Formula) -> int:
@@ -485,11 +476,14 @@ def parameters(f: Formula, team: Optional[Team] = None, exact_tw: bool = False,
         width, _ = treewidth_upper(graph, method=method)
         return width, False
 
-    ftw, ftw_exact = tw(build_gaifman(f))
+    # The formula graph, then the same graph with the team rows added.
+    graph = build_gaifman(f)
+    ftw, ftw_exact = tw(graph)
+    fvars = variables(f)
     report = {
         "formula_size": formula_size(f),
         "formula_depth": formula_depth(f),
-        "num_variables": len(variables(f)),
+        "num_variables": len(fvars),
         "num_splits": split_count(f),
         "arity": arity,
         "formula_tw": ftw,
@@ -497,7 +491,8 @@ def parameters(f: Formula, team: Optional[Team] = None, exact_tw: bool = False,
         "formula_tw_method": "exact" if ftw_exact else method,
     }
     if team is not None:
-        ttw, ttw_exact = tw(build_gaifman(f, team))
+        _add_team(graph, fvars, team)
+        ttw, ttw_exact = tw(graph)
         report.update(
             teamsize=len(team),
             formula_team_tw=ttw,

@@ -1,12 +1,16 @@
 """Command-line interface: payloads and exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from teamlog import Team, cli
+from teamlog import LogicKind, Team, cli, render_formula
 from teamlog.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -16,6 +20,7 @@ from teamlog.cli import (
     EXIT_USAGE,
     main,
 )
+from teamlog.reductions import RandomFormulaConfig, random_formula
 from teamlog.sat import SatResult, SatStatus
 
 from conftest import EXAMPLE_FORMULA_TEXT, EXAMPLE_TEAM_TEXT, child_env
@@ -326,6 +331,16 @@ class TestGenAndTranslate:
                       "--team-out", str(tmp_path / "t"))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("text", ['{"elements": []}', '[1]', '"ab"',
+                                      '{"elements": [[1]], "sets": []}',
+                                      '{"elements": [1], "sets": 3}'])
+    def test_bad_spec_shape_exit_two(self, files, capsys, tmp_path, text):
+        spec = files("inst.json", text)
+        code, _ = run(capsys, "gen-setsplit", spec,
+                      "--formula-out", str(tmp_path / "f"),
+                      "--team-out", str(tmp_path / "t"))
+        assert code == EXIT_USAGE
+
     def test_translate(self, files, capsys):
         f = files("f.tl", "=(x; y)")
         code, report = run(capsys, "translate", f, "--dep-to-indep")
@@ -355,3 +370,71 @@ class TestUsage:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "satisfied: True" in out
+
+
+_TOKENS = ["x1", "x2", "y", " ", "!", "&", "|", "(", ")", "=(", "inc(",
+           "ind(", ";", ",", "T", "B", "\n"]
+_SPECS = ['{"elements": [1, 2], "sets": [[1, 2]]}', '{"elements": []}',
+          '{"elements": [1], "sets": [[2]]}', '[1]', '{"sets": 3}']
+
+
+@st.composite
+def _formula_texts(draw):
+    """A well-formed formula of any logic, or a soup of formula tokens."""
+    if draw(st.booleans()):
+        return render_formula(random_formula(RandomFormulaConfig(
+            logic=draw(st.sampled_from(list(LogicKind))), max_vars=3,
+            max_nodes=draw(st.integers(1, 12)),
+            seed=draw(st.integers(0, 10 ** 6)))))
+    return "".join(draw(st.lists(st.sampled_from(_TOKENS), max_size=16)))
+
+
+@st.composite
+def _team_texts(draw):
+    """A header and bit rows, mostly as wide as the header."""
+    names = draw(st.lists(st.sampled_from(["x1", "x2", "x3", "y"]),
+                          max_size=4))
+    width = st.one_of(st.just(len(names)), st.integers(0, 5))
+    rows = draw(st.lists(width.flatmap(
+        lambda k: st.text(alphabet="01", min_size=k, max_size=k)), max_size=6))
+    return "\n".join([" ".join(names), *rows])
+
+
+class TestFuzz:
+    """Bad input of any shape is an answer or a usage, resource or budget
+    error (exit 0 to 4), never an internal error (exit 5)."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=80, deadline=None)
+    @given(formula=st.one_of(_formula_texts(), st.text(max_size=16)),
+           team=st.one_of(_team_texts(), st.text(max_size=16)),
+           spec=st.one_of(st.sampled_from(_SPECS), st.text(max_size=16)))
+    def test_every_subcommand_exits_zero_to_four(self, workdir, formula,
+                                                 team, spec):
+        f, t, j = (workdir / "f.tl", workdir / "t.team", workdir / "s.json")
+        f.write_text(formula)
+        t.write_text(team)
+        j.write_text(spec)
+        f, t, j = str(f), str(t), str(j)
+        calls = [
+            ["mc", f, t], ["mc", f, t, "--semantics", "lax"],
+            ["mc", f, t, "--algo", "recursive"],
+            *(["sat", f, "--algo", algo, "--budget", "300"]
+              for algo in ("brute", "singleton", "fixpoint", "splitfree")),
+            ["sat", f, "--algo", "fixpoint", "--semantics", "lax",
+             "--budget", "300"],
+            ["params", f], ["params", f, t, "--exact-tw"], ["graph", f, t],
+            *(["decomp", f, t, "--method", method]
+              for method in ("min_fill", "min_degree", "exact")),
+            ["translate", f, "--dep-to-indep"],
+            ["gen-setsplit", j, "--formula-out", str(workdir / "g.tl"),
+             "--team-out", str(workdir / "g.team")],
+        ]
+        for argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in range(5), (argv, formula, team, spec, err.getvalue())

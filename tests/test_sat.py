@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from teamlog import (
     render_formula,
     variables,
 )
-from teamlog import semantics, teams
+from teamlog import sat, semantics, teams
 from teamlog.errors import RepairError
 from teamlog.sat import (
     SatResult,
@@ -31,7 +33,7 @@ from teamlog.sat import (
 from teamlog.semantics import SemanticsMode, TeamEvaluator, eval_inc
 from teamlog.reductions import RandomFormulaConfig, random_formula
 
-from conftest import reference_singleton
+from conftest import child_env, reference_singleton
 
 STRICT = SemanticsMode.STRICT
 LAX = SemanticsMode.LAX
@@ -318,6 +320,67 @@ class TestFixpoint:
                 assert len(built) == (r.witness is not None), (seed, mode)
         assert repairs > 100
 
+    def test_guesses_in_sorted_product_order(self):
+        # The order oracle: every pick of at most one row per class, sorted
+        # by size and then by ascending row list.
+        rng = random.Random(5)
+        for _ in range(600):
+            count = rng.randint(1, 4)
+            ycls = [rng.choice([None, *range(count)])
+                    for _ in range(rng.randint(0, 10))]
+            classes = [sum(1 << r for r, k in enumerate(ycls) if k == c)
+                       for c in range(count)]
+            picks = [[0] + [1 << r for r in semantics._bits(m)]
+                     for m in classes]
+            expected = sorted(
+                (sum(combo) for combo in itertools.product(*picks)),
+                key=lambda m: (m.bit_count(), semantics._bits(m)))
+            assert list(sat._walk_guesses(ycls, count)) == expected, ycls
+
+    def test_guesses_turn_as_an_odometer(self, monkeypatch):
+        # run() visits the product of the atoms' guesses in the order of
+        # itertools.product: the last atom fastest, each restarting.
+        for seed in range(20):
+            f = random_formula(RandomFormulaConfig(
+                logic=LogicKind.PINC, max_vars=2, max_nodes=9, seed=seed,
+                max_splits=2,
+            ))
+            search = sat._FixpointSearch(f, STRICT, sat._Budget(0), None)
+            seen = []
+            monkeypatch.setattr(search, "_search",
+                                lambda state: seen.append(state) and None)
+            assert search.run() is None
+            wheels = [list(search._atom_candidates(i)) for i in search.atoms]
+            assert seen == [
+                tuple(dict(zip(search.atoms, combo)).get(i, 0)
+                      for i in range(len(search.ev.nodes)))
+                for combo in itertools.product(*wheels)], seed
+
+    def test_huge_guess_space_spends_budget(self):
+        # One inclusion atom of seed 501 has 277 million initial guesses,
+        # too many to hold at once.  Under a 1 GB address-space limit the
+        # search must spend its budget, and seed 504 must find a model.
+        code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from teamlog import LogicKind, evaluate
+from teamlog.reductions import RandomFormulaConfig, random_formula
+from teamlog.sat import sat_fixpoint
+from teamlog.semantics import SemanticsMode
+for seed in (501, 504):
+    f = random_formula(RandomFormulaConfig(
+        logic=LogicKind.PINC, max_vars=10, max_nodes=30, max_arity=2,
+        max_splits=4, seed=seed))
+    r = sat_fixpoint(f, SemanticsMode.STRICT, budget=4000)
+    ok = r.witness is None or evaluate(r.witness, f, SemanticsMode.STRICT)
+    print(r.status.value, ok)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["resource_exhausted", "True",
+                                       "satisfiable", "True"]
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 9), st.sampled_from([STRICT, LAX]))
     def test_matches_oracle(self, seed, mode):
@@ -388,10 +451,32 @@ class TestSplitFree:
             assert_verified(got, f, STRICT)
 
 
+def test_split_free_witness_is_union_of_models():
+    # Split-free PINC is union closed, so the witness is the largest model:
+    # the union of every team over VAR(f) that satisfies f.
+    for seed in range(200):
+        f = random_formula(RandomFormulaConfig(
+            logic=LogicKind.PINC, max_vars=3, max_nodes=9, seed=seed,
+            split_free=True,
+        ))
+        vs = variables(f)
+        rows = list(itertools.product((0, 1), repeat=len(vs)))
+        union = set()
+        for mask in range(1, 1 << len(rows)):
+            team = Team(vs, tuple(r for j, r in enumerate(rows)
+                                  if mask >> j & 1))
+            if evaluate(team, f, STRICT):
+                union.update(team.rows)
+        got = sat_split_free(f)
+        assert got.status is (SAT if union else UNSAT), seed
+        if union:
+            assert got.witness.rows == Team(vs, tuple(union)).rows, seed
+
+
 def quadratic_prune(rows, atoms, vs):
     """Greatest-fixpoint pruning by comparing every row with every other
-    row: the definition that :func:`sat_split_free` computes with y-value
-    sets."""
+    row: the definition that :func:`sat_split_free` computes on one row
+    mask."""
     index = {v: i for i, v in enumerate(vs)}
     coords = [([index[v] for v in a.xs], [index[v] for v in a.ys])
               for a in atoms]

@@ -168,6 +168,23 @@ class TestAtomKernel:
                 "repeated variable", "empty tuple"} <= seen
         assert checked > 50_000
 
+    def test_all_empty_tuples_match_reference(self):
+        # The random atoms above never leave every tuple of a value query
+        # empty, as these do: ind(a; |) asks for the rows' () values.
+        atoms = (Inc((), ()), Dep((), ()), Dep(("a",), ()), Indep((), (), ()),
+                 Indep(("a",), (), ()), Indep((), ("b",), ()),
+                 Indep(("a",), ("b",), ()))
+        rng = random.Random(7)
+        for atom in atoms:
+            for size in range(5):
+                t = random_team(rng, ("a", "b"), max_rows=size, min_rows=size)
+                ev = TeamEvaluator(t.domain, t.rows, atom, STRICT)
+                table = ev.atom_table(atom)
+                for m in range(1 << len(t)):
+                    expected = reference_atom(t.subteam_mask(m), atom)
+                    assert ev.check(atom, m) is expected, (atom, t.rows, m)
+                    assert (m in table) is expected, (atom, t.rows, m)
+
     def test_at_most_one_row_needs_no_dependence_constraint(self):
         for rows in ((), ((0, 1, 1),)):
             t = T("xyz", *rows)

@@ -1,5 +1,6 @@
 """Gaifman graphs, tree decompositions, treewidth and parameters."""
 
+import dataclasses
 import random
 import subprocess
 import sys
@@ -485,6 +486,32 @@ class TestParameters:
         d = report.to_dict()
         assert d["formula_tw_exact"] is True  # 10 vertices fits
         assert d["formula_team_tw_exact"] is False  # 12 does not
+
+    def test_team_rows_extend_the_formula_graph(self, monkeypatch):
+        # parameters builds the formula graph once and adds the team rows
+        # to it; the team treewidth is that of build_gaifman(f, team).
+        built = []
+        real = structure.build_gaifman
+        monkeypatch.setattr(structure, "build_gaifman",
+                            lambda *args: built.append(args) or real(*args))
+        rng = random.Random(7)
+        for seed in range(40):
+            f = random_formula(RandomFormulaConfig(
+                logic=LogicKind.PDL, max_vars=4, max_nodes=12, seed=seed))
+            t = random_team(rng, variables(f), max_rows=6)
+            built.clear()
+            r = parameters(f, t, exact_tw=seed % 2 == 1)
+            assert built == [(f,)], seed
+            g = real(f, t)
+            if r.formula_team_tw_exact:
+                assert r.formula_team_tw == treewidth_exact(g)[0], seed
+            else:
+                assert r.formula_team_tw == treewidth_upper(g)[0], seed
+
+    def test_report_keys_in_field_order(self, example_formula, example_team):
+        names = [f.name for f in dataclasses.fields(structure.ParameterReport)]
+        assert list(parameters(example_formula, example_team).to_dict()) == names
+        assert list(parameters(example_formula).to_dict()) == names[:8]
 
     def test_parameter_inequalities(self):
         rng = random.Random(99)
