@@ -235,19 +235,22 @@ class _Reject(Exception):
 
 
 def _walk_guesses(ycls: list, count: int):
-    """Yield the row masks with at most one row of each class ``ycls[r]``
-    (never a row of class None), by size, then by ascending row list: each
-    size is a depth first walk over the rows in order."""
-    for size in range(count + 1):
+    """Yield the row masks with at most one row of each class ``ycls[r]``,
+    by size, then by ascending row list: each size is a depth first walk
+    over the rows in order, whose last level yields its rows in turn."""
+    yield 0
+    for size in range(1, count + 1):
         stack = [(0, 0, ())]  # the next row to try, the rows picked, classes
         while stack:
             r, mask, used = stack.pop()
-            if len(used) == size:
-                yield mask
-                continue
-            stack += [(j + 1, mask | 1 << j, used + (ycls[j],))
-                      for j in range(len(ycls) - 1, r - 1, -1)
-                      if ycls[j] is not None and ycls[j] not in used]
+            if len(used) + 1 == size:
+                for j in range(r, len(ycls)):
+                    if ycls[j] not in used:
+                        yield mask | 1 << j
+            else:
+                stack += [(j + 1, mask | 1 << j, used + (ycls[j],))
+                          for j in range(len(ycls) - 1, r - 1, -1)
+                          if ycls[j] not in used]
 
 
 class _FixpointSearch:
@@ -266,32 +269,34 @@ class _FixpointSearch:
                      if not (i and type(nodes[i - 1]) is Not)]
         self.atoms = [i for i in self.live if len(kids[i]) < 2]
         self._mirrors: dict[int, list[int]] = {}
-        self._classes: dict[int, tuple[list, int]] = {}
+        self._guesses: dict[int, object] = {}
 
     # -- initial guesses ----------------------------------------------------
 
     def _atom_candidates(self, i: int):
         """An iterator over the initial guesses for the atom at position
-        ``i``: at most one row per class, by size, then by ascending row
-        list.  A literal has one class, the rows it accepts.  An inclusion
-        atom has one per y-value: the bounded guesses the correctness
-        argument needs (at most 2^arity rows).  The guesses are walked
-        afresh each time, so memory does not grow with their number."""
-        found = self._classes.get(i)
+        ``i``, by size, then by ascending row list.  An inclusion atom's
+        guesses are walked afresh each time, so memory does not grow with
+        their number."""
+        found = self._guesses.get(i)
         if found is None:
             ev = self.ev
             atom = ev.nodes[i]
-            if isinstance(atom, Inc):
-                classes = list(ev.value_masks(atom.ys).values())
+            if not isinstance(atom, Inc):
+                # The empty team or one row that satisfies the literal.
+                found = [0] + [1 << r for r in range(len(ev.rows))
+                               if ev.check_at(i, 1 << r)]
             else:
-                classes = [sum(1 << r for r in range(len(ev.rows))
-                               if ev.check_at(i, 1 << r))]
-            ycls = [None] * len(ev.rows)
-            for k, cls in enumerate(classes):
-                for r in members(cls):
-                    ycls[r] = k
-            found = self._classes[i] = (ycls, len(classes))
-        return _walk_guesses(*found)
+                # At most one row per y-value class: the bounded guesses the
+                # correctness argument needs (at most 2^arity rows).
+                classes = ev.value_masks(atom.ys).values()
+                ycls = [0] * len(ev.rows)
+                for k, ymask in enumerate(classes):
+                    for r in members(ymask):
+                        ycls[r] = k
+                found = (ycls, len(classes))
+            self._guesses[i] = found
+        return iter(found) if type(found) is list else _walk_guesses(*found)
 
     # -- rounds -------------------------------------------------------------
 
@@ -388,16 +393,14 @@ class _FixpointSearch:
             witness = self._search(tuple(state))
             if witness is not None:
                 return witness
-            k = len(atoms) - 1
-            while k >= 0:
+            for k in range(len(atoms) - 1, -1, -1):
                 guess = next(wheels[k], None)
                 if guess is not None:
                     state[atoms[k]] = guess
                     break
                 wheels[k] = self._atom_candidates(atoms[k])
                 state[atoms[k]] = next(wheels[k])
-                k -= 1
-            if k < 0:
+            else:
                 return None
 
     def _search(self, state: tuple) -> Optional[int]:

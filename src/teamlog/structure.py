@@ -152,8 +152,7 @@ def build_gaifman(f: Formula, team: Optional[Team] = None) -> GaifmanGraph:
 
 
 def _add_team(gg: GaifmanGraph, fvars: tuple[str, ...], team: Team) -> None:
-    """Add to the formula graph ``gg`` a vertex per team row, joined to
-    each of the formula's variables ``fvars`` by its value there."""
+    """Join a new vertex per team row to each variable ``fvars`` of ``gg``."""
     missing = [v for v in fvars if v not in team.domain]
     if missing:
         raise UnknownVariableError(
@@ -476,7 +475,6 @@ def parameters(f: Formula, team: Optional[Team] = None, exact_tw: bool = False,
         width, _ = treewidth_upper(graph, method=method)
         return width, False
 
-    # The formula graph, then the same graph with the team rows added.
     graph = build_gaifman(f)
     ftw, ftw_exact = tw(graph)
     fvars = variables(f)

@@ -326,8 +326,7 @@ class TestFixpoint:
         rng = random.Random(5)
         for _ in range(600):
             count = rng.randint(1, 4)
-            ycls = [rng.choice([None, *range(count)])
-                    for _ in range(rng.randint(0, 10))]
+            ycls = [rng.randrange(count) for _ in range(rng.randint(0, 10))]
             classes = [sum(1 << r for r, k in enumerate(ycls) if k == c)
                        for c in range(count)]
             picks = [[0] + [1 << r for r in semantics._bits(m)]
