@@ -21,7 +21,8 @@ from .errors import (
     ResourceBoundError,
     TeamlogError,
 )
-from .formulas import is_split_free, parse_formula, render_formula
+from .formulas import (LogicKind, is_split_free, logic_kind, parse_formula,
+                       render_formula)
 from .modelcheck import mc
 from .reductions import SetSplittingInstance, dep_to_indep, setsplit_to_pinc_mc
 from .sat import (
@@ -32,7 +33,8 @@ from .sat import (
     sat_singleton,
     sat_split_free,
 )
-from .semantics import DEFAULT_ENUMERATION_CAP, SemanticsMode, evaluate
+from .semantics import (DEFAULT_ENUMERATION_CAP, SemanticsMode,
+                        TeamEvaluator, evaluate)
 from .structure import (
     build_gaifman,
     decomposition_to_object,
@@ -111,16 +113,25 @@ def _cmd_sat(args) -> int:
     else:
         result = sat_split_free(formula)
     payload: dict = {"status": result.status.value}
-    if result.witness is not None:
-        # A split-free formula needs no split enumeration, so its re-check
-        # is linear in the witness and needs no cap.
-        cap = (len(result.witness) if is_split_free(formula)
-               else DEFAULT_ENUMERATION_CAP)
-        if not evaluate(result.witness, formula, mode, cap=cap):
+    witness = result.witness
+    if witness is not None:
+        # A lax PL/PINC witness is a model iff it is its own largest model,
+        # and a split-free formula needs no split enumeration: neither
+        # re-check needs a cap.
+        if (mode is SemanticsMode.LAX
+                and logic_kind(formula) in (LogicKind.PL, LogicKind.PINC)):
+            full = (1 << len(witness)) - 1
+            ev = TeamEvaluator(witness.domain, witness.rows, formula, mode)
+            holds = ev.max_model(full) == full
+        else:
+            cap = (len(witness) if is_split_free(formula)
+                   else DEFAULT_ENUMERATION_CAP)
+            holds = evaluate(witness, formula, mode, cap=cap)
+        if not holds:
             print(f"internal error: the {args.algo} witness fails its re-check",
                   file=sys.stderr)
             return EXIT_INTERNAL
-        payload["witness"] = team_to_object(result.witness)
+        payload["witness"] = team_to_object(witness)
     _emit(args, _report(args, payload, args.algo, started))
     if result.status is SatStatus.SATISFIABLE:
         return EXIT_OK

@@ -7,14 +7,16 @@ Four routes with very different scaling behaviour:
 * :func:`sat_singleton` searches single assignments, bit-parallel over
   blocks of them; complete for PL, PDL and PIND, whose formulas are
   satisfiable iff some singleton team satisfies them.
-* :func:`sat_fixpoint` is a determinized backtracking search over the
-  choice points of a nondeterministic fixpoint construction for PINC:
+* :func:`sat_fixpoint` first takes the largest lax model among all
+  assignments, which decides lax mode, and strict mode when it is empty.
+  Otherwise it runs a determinized backtracking search over the
+  choice points of a nondeterministic fixpoint construction:
   guess small initial subteams per atom, then alternate bottom-up
   repair/union rounds with top-down copy/distribution rounds until the
   per-node teams stop growing.
 * :func:`sat_split_free` decides disjunction-free PINC in polynomial
   time by propagating literal labels through inclusion atoms, then
-  taking the greatest fixpoint of the atoms' row-mask constraints.
+  taking the same greatest fixpoint over the label-consistent rows.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _all_rows(n: int) -> list[tuple[int, ...]]:
 
 def _team(vs: tuple[str, ...], rows: list, mask: int) -> Team:
     """The team of the rows that ``mask`` selects."""
-    return Team(vs, tuple(rows[i] for i in _bits(mask)))
+    return Team(vs, tuple(rows[i] for i in members(mask)))
 
 
 class _Budget:
@@ -428,12 +430,17 @@ class _FixpointSearch:
 def sat_fixpoint(f: Formula, mode: SemanticsMode,
                  budget: int = DEFAULT_FIXPOINT_BUDGET,
                  repair_log: Optional[list] = None) -> SatResult:
-    """Determinized fixpoint search for PINC satisfiability.
+    """PINC satisfiability: a greatest fixpoint, then a search.
 
-    Exhausts the initial-guess and split-distribution choices in
-    canonical order (smaller guesses first), so the first accepted
-    fixpoint is deterministic.  ``repair_log`` collects
-    (before, after) team sizes for every inclusion repair.
+    :meth:`TeamEvaluator.max_model` takes the largest lax model among all
+    assignments.  Empty, it means unsatisfiable in both modes (every
+    strict model is a lax model); in lax mode a nonempty one is the
+    witness.  Otherwise the determinized search exhausts the
+    initial-guess and split-distribution choices in canonical order
+    (smaller guesses first), so the first accepted fixpoint is
+    deterministic.  Each step has ``budget`` units of its own.
+    ``repair_log`` collects (before, after) team sizes for every
+    inclusion repair.
     """
     kind = logic_kind(f)
     if kind not in (LogicKind.PL, LogicKind.PINC):
@@ -441,6 +448,16 @@ def sat_fixpoint(f: Formula, mode: SemanticsMode,
             f"fixpoint search handles PINC (and plain PL), not {kind.value}"
         )
     search = _FixpointSearch(f, mode, _Budget(budget), repair_log)
+    rows = search.ev.rows
+    try:
+        largest = search.ev.max_model((1 << len(rows)) - 1, budget)
+    except ResourceBoundError:
+        largest = None
+    if largest == 0:
+        return SatResult(SatStatus.UNSATISFIABLE)
+    if largest and mode is SemanticsMode.LAX:
+        return SatResult(SatStatus.SATISFIABLE,
+                         _team(search.ev.domain, rows, largest))
     try:
         witness = search.run()
     except ResourceBoundError:
@@ -464,9 +481,10 @@ def sat_split_free(f: Formula, max_free_vars: int = 20) -> SatResult:
     Otherwise every satisfying team lies inside the label-consistent
     full team, and split-free inclusion formulas are union closed, so
     the union of all satisfying teams is the greatest fixpoint of the
-    atoms' kernel constraints, found by deleting rows whose x-value lacks
-    a y-witness.  The formula is satisfiable iff that fixpoint is
-    nonempty; the fixpoint is the witness.  (The pruning matters only for
+    atoms' kernel constraints, :meth:`TeamEvaluator.max_model`, which
+    deletes rows whose x-value lacks a y-witness.  The formula is
+    satisfiable iff that fixpoint is nonempty; the fixpoint is the
+    witness.  (The pruning matters only for
     inclusion atoms whose tuples repeat or share variables; for disjoint
     single occurrences the label-consistent team is already satisfying.)
     """
@@ -520,19 +538,8 @@ def sat_split_free(f: Formula, max_free_vars: int = 20) -> SatResult:
         free_vals = dict(zip(free, bits))
         rows.append(tuple(labels.get(v, free_vals.get(v)) for v in vs))
 
-    # Greatest fixpoint on one row mask: a subteam that meets an atom's
-    # X_v must meet its Y_v, so while the mask misses Y_v, drop X_v.
-    ev = TeamEvaluator(vs, rows, f, SemanticsMode.STRICT)
-    cons = [con for i in conjuncts(ev.nodes, ev.kids, 0)
-            for con in ev.constraints(i)]
-    mask = (1 << len(rows)) - 1
-    before = None
-    while mask != before:
-        before = mask
-        for a, _, c in cons:
-            if mask & a and not mask & c:
-                mask &= ~a
+    ev = TeamEvaluator(vs, rows, f, SemanticsMode.LAX)
+    mask = ev.max_model((1 << len(rows)) - 1)
     if not mask:
         return SatResult(SatStatus.UNSATISFIABLE)
-    return SatResult(SatStatus.SATISFIABLE,
-                     Team(vs, tuple(rows[i] for i in members(mask))))
+    return SatResult(SatStatus.SATISFIABLE, _team(vs, rows, mask))

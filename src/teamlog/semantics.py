@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import enum
+import math
+from typing import Optional
 
-from .errors import EnumerationCapError, UnknownVariableError
+from .errors import (EngineNotApplicableError, EnumerationCapError,
+                     ResourceBoundError, UnknownVariableError)
 from .formulas import (
     And,
     Bot,
@@ -34,6 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 16
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # row bits as base-2 digits
 
 
 class SemanticsMode(enum.Enum):
@@ -86,6 +90,12 @@ def members(bits: int) -> list[int]:
     return [i for i, ch in enumerate(reversed(bin(bits))) if ch == "1"]
 
 
+def _ones(bits: list[int]) -> int:
+    """The bitmask of the positions where ``bits`` holds 1, in linear
+    time: the bits read as one base-2 numeral."""
+    return int(bytes(reversed(bits)).translate(_DIGITS) or b"0", 2)
+
+
 _LATTICES: dict[int, tuple[int, tuple[int, ...]]] = {}
 
 
@@ -129,11 +139,25 @@ class TeamEvaluator:
         self._index = {v: i for i, v in enumerate(domain)}
 
     def value_masks(self, vs) -> dict[tuple, int]:
-        """Row bitmask of each value the rows take on the variables ``vs``."""
+        """Row bitmask of each value the rows take on the variables ``vs``,
+        in order of first occurrence, in time linear in the rows."""
         columns = [[row[self._index[v]] for row in self.rows] for v in vs]
+        keys = zip(*columns) if vs else [()] * len(self.rows)
         out: dict[tuple, int] = {}
-        for j, key in enumerate(zip(*columns) if vs else [()] * len(self.rows)):
-            out[key] = out.get(key, 0) | 1 << j
+        if len(self.rows) <= 64:
+            # Masks of at most 64 bits: an OR per row is cheapest.
+            for j, key in enumerate(keys):
+                out[key] = out.get(key, 0) | 1 << j
+            return out
+        # Wider masks: each value's mask is the AND of one column mask or
+        # its complement per variable.
+        full = (1 << len(self.rows)) - 1
+        pairs = [(full ^ ones, ones) for ones in map(_ones, columns)]
+        for key in dict.fromkeys(keys):
+            mask = full
+            for pair, bit in zip(pairs, key):
+                mask &= pair[bit]
+            out[key] = mask
         return out
 
     def constraints(self, i: int) -> list[tuple[int, int, int]]:
@@ -155,11 +179,10 @@ class TeamEvaluator:
             elif isinstance(node, Bot):
                 bad = full
             else:
-                want = 1 if isinstance(node, VarRef) else 0
                 name = node.name if isinstance(node, VarRef) else node.child.name
                 i = self._index[name]
-                bad = sum(1 << j for j, row in enumerate(self.rows)
-                          if row[i] != want)
+                ones = _ones([row[i] for row in self.rows])
+                bad = full ^ ones if isinstance(node, VarRef) else ones
             cons = [(bad, bad, 0)] if bad else []
         elif isinstance(node, Dep):
             # No row of y-class w inside x-class v next to a row of v
@@ -218,6 +241,81 @@ class TeamEvaluator:
         the set of satisfying row bitmasks."""
         return frozenset(members(self.atom_bits(self._position(node))))
 
+    def _conjuncts_at(self, i: int) -> list[int]:
+        """:func:`conjuncts` of the node at position ``i``, found once."""
+        conj = self._conjuncts[i]
+        if conj is None:
+            conj = self._conjuncts[i] = conjuncts(self.nodes, self.kids, i)
+        return conj
+
+    def max_model(self, mask: int, budget: Optional[int] = None) -> int:
+        """The largest subteam of ``mask`` that satisfies a PL or PINC
+        formula under lax semantics, whatever :attr:`mode` says.
+
+        Lax PINC is union closed, so that subteam exists; it is a greatest
+        fixpoint.  A literal or inclusion atom drops the ``a`` of each
+        constraint while the subteam meets ``a`` and misses ``c``.  A split
+        takes the union of its sides' largest models.  A conjunction hands
+        the subteam through its :func:`conjuncts` in turn until each has
+        left it unchanged.  The walk keeps its own stack; each visit of a
+        node with a nonempty subteam spends one unit of ``budget`` (no limit
+        if ``None``), and :class:`ResourceBoundError` says it ran out.
+        """
+        nodes, kids = self.nodes, self.kids
+        left = math.inf if budget is None else budget
+        # A conjunction's frame is [conjuncts, next one, calls left that
+        # must change nothing, subteam]; a split's is [right kid, subteam,
+        # left kid's answer or None].
+        stack: list[list] = []
+        i = 0
+        while True:
+            if mask:  # the empty team satisfies every node
+                left -= 1
+                if left < 0:
+                    raise ResourceBoundError("max_model budget exhausted")
+                t = type(nodes[i])
+                if t is And:
+                    conj = self._conjuncts_at(i)
+                    stack.append([conj, 0, len(conj), mask])
+                    i = conj[0]
+                    continue
+                if t is Or:
+                    stack.append([kids[i][1], mask, None])
+                    i = kids[i][0]
+                    continue
+                if t is Dep or t is Indep:
+                    raise EngineNotApplicableError(
+                        "max_model needs a union-closed (PL or PINC) formula")
+                cons = self.constraints(i)
+                before = None
+                while mask != before:
+                    before = mask
+                    for a, _, c in cons:
+                        if mask & a and not mask & c:
+                            mask &= ~a
+            # Hand ``mask`` back until a frame makes its next call.
+            while stack:
+                frame = stack[-1]
+                if type(frame[0]) is list:
+                    conj, k, quiet, sub = frame
+                    # A conjunct's answer is its own fixpoint, so after a
+                    # change only the other conjuncts remain to be asked.
+                    quiet = quiet - 1 if mask == sub else len(conj) - 1
+                    if quiet and mask:
+                        k = (k + 1) % len(conj)
+                        frame[1:] = k, quiet, mask
+                        i = conj[k]
+                        break
+                elif frame[2] is None and mask != frame[1]:
+                    frame[2] = mask
+                    i, mask = frame[0], frame[1]
+                    break
+                elif frame[2] is not None:
+                    mask |= frame[2]
+                stack.pop()
+            else:
+                return mask
+
     def check(self, node: Formula, mask: int) -> bool:
         """:meth:`check_at` the first position that holds ``node``."""
         return self.check_at(self._position(node), mask)
@@ -237,10 +335,7 @@ class TeamEvaluator:
         t = type(self.nodes[i])
         result = True
         if t is And:
-            conj = self._conjuncts[i]
-            if conj is None:
-                conj = self._conjuncts[i] = conjuncts(self.nodes, self.kids, i)
-            result = all(self.check_at(j, mask) for j in conj)
+            result = all(self.check_at(j, mask) for j in self._conjuncts_at(i))
         elif t is Or:
             result = self._check_split(i, mask)
         else:

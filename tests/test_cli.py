@@ -164,6 +164,26 @@ class TestSat:
         assert report["result"]["status"] == "satisfiable"
         assert len(report["result"]["witness"]["rows"]) == 64
 
+    def test_lax_fixpoint_witness_beyond_enumeration_cap(self, files, capsys):
+        # the witness is the largest lax model, all 32 rows; its re-check
+        # has a split and must not hit the 16-row cap either
+        f = files("f.tl", "(inc(x1; x2) & inc(x3; x4)) & (x5 | inc(x5; x1))")
+        code, report = run(capsys, "sat", f, "--algo", "fixpoint",
+                           "--semantics", "lax")
+        assert code == EXIT_OK
+        assert report["result"]["status"] == "satisfiable"
+        assert len(report["result"]["witness"]["rows"]) == 32
+
+    def test_failed_lax_witness_recheck_is_internal_error(self, files, capsys,
+                                                          monkeypatch):
+        wrong = SatResult(SatStatus.SATISFIABLE, Team(("x",), ((0,), (1,))))
+        monkeypatch.setattr(cli, "sat_fixpoint", lambda *a, **k: wrong)
+        f = files("f.tl", "x | (inc(x; x) & B)")
+        code = main(["sat", f, "--algo", "fixpoint", "--semantics", "lax"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert "re-check" in captured.err
+
     def test_failed_witness_recheck_is_internal_error(self, files, capsys,
                                                       monkeypatch):
         wrong = SatResult(SatStatus.SATISFIABLE, Team(("x",), ((0,),)))

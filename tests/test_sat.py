@@ -285,6 +285,39 @@ class TestFixpoint:
         r = sat_fixpoint(f, STRICT, budget=3)
         assert r.status is SatStatus.RESOURCE_EXHAUSTED
 
+    @pytest.mark.parametrize("text", [
+        "(inc(x1; x1) & inc(x1, x2; x2, x3)) & (x1 & B)",
+        "(!x1 & x2) & (inc(x2, x3; x2, x4) & x1)",
+        "(x1 & ((inc(x2; x3) & B) & x2)) & inc(x1; x2)",
+        "B & (inc(x1; x2) | (x3 & inc(x2; x3)))",
+    ])
+    def test_root_contradiction_is_unsat(self, text):
+        # The largest lax model is empty, so both modes answer before the
+        # search, which spends 4000 units on each without an answer.
+        f = parse_formula(text)
+        for mode in (STRICT, LAX):
+            assert sat_fixpoint(f, mode, budget=4000).status is UNSAT
+
+    def test_lax_verum_split_is_sat(self):
+        f = parse_formula(
+            "T | ((inc(x1, x2; x3, x3) & inc(x4, x4; x4, x2)) & (B & x4))")
+        r = sat_fixpoint(f, LAX, budget=4000)
+        assert_verified(r, f, LAX)
+        assert len(r.witness) == 16
+
+    def test_strict_model_inside_the_lax_max(self):
+        # The largest lax model {01, 10, 11} is no strict model; the search
+        # still finds the strict model {11}.
+        f = parse_formula(
+            "(inc(x1; x2) & ((inc(x2; x2) | !x1) & ((inc(x1; x2) & x1) | "
+            "(x2 & ((inc(x2; x1) | T) & (inc(x2; x1) & (((!x1 | inc(x1; x2))"
+            " | inc(x1; x1)) | x1)))))))")
+        strict = sat_fixpoint(f, STRICT, budget=4000)
+        assert strict.witness.rows == ((1, 1),)
+        lax = sat_fixpoint(f, LAX, budget=4000)
+        assert lax.witness.rows == ((0, 1), (1, 0), (1, 1))
+        assert not evaluate(lax.witness, f, STRICT)
+
     def test_rejects_other_logics(self):
         with pytest.raises(EngineNotApplicableError):
             sat_fixpoint(parse_formula("=(x; y)"), STRICT)

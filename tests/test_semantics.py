@@ -8,10 +8,14 @@ from teamlog import (
     And,
     Bot,
     Dep,
+    EngineNotApplicableError,
     EnumerationCapError,
     Inc,
     Indep,
+    LogicKind,
     Not,
+    Or,
+    ResourceBoundError,
     Team,
     Top,
     UnknownVariableError,
@@ -29,6 +33,7 @@ from teamlog.semantics import (
     eval_literal,
 )
 from teamlog.errors import ArityMismatchError
+from teamlog.reductions import RandomFormulaConfig, random_formula
 
 from conftest import all_teams, random_team, reference_atom, subteams
 
@@ -198,6 +203,24 @@ class TestAtomKernel:
                 eval_atom(t, bad)
 
 
+def test_value_masks_match_row_loop():
+    # Both regimes (up to 64 rows, and more) against one OR per row.
+    rng = random.Random(7)
+    domain = tuple(f"x{j}" for j in range(8))
+    for n in (0, 1, 2, 63, 64, 65, 200):
+        rows = rng.sample(range(256), n)
+        rows = [tuple(r >> (7 - j) & 1 for j in range(8)) for r in rows]
+        ev = TeamEvaluator(domain, rows, Top(), STRICT)
+        for k in range(5):
+            vs = tuple(rng.sample(domain, k))
+            expected = {}
+            for j, row in enumerate(rows):
+                key = tuple(row[domain.index(v)] for v in vs)
+                expected[key] = expected.get(key, 0) | 1 << j
+            got = ev.value_masks(vs)
+            assert list(got.items()) == list(expected.items()), (n, vs)
+
+
 def test_atom_compiles_once_per_evaluator(monkeypatch):
     # atom_bits reads the constraints that check_at compiled
     f = parse_formula("=(x; y) & (x | =(y; x))")
@@ -214,6 +237,50 @@ def test_atom_compiles_once_per_evaluator(monkeypatch):
             assert ev.atom_table(g) == frozenset(
                 m for m in range(4) if ev.check_at(i, m))
     assert len(compiled) == 3
+
+
+class TestMaxModel:
+    """max_model is the largest lax model inside a subteam: a model under
+    the split semantics, holding every lax model inside that subteam."""
+
+    def test_largest_lax_model(self):
+        rng = random.Random(15)
+        shapes = set()
+        for seed in range(200):
+            f = random_formula(RandomFormulaConfig(
+                logic=rng.choice((LogicKind.PL, LogicKind.PINC)), max_vars=4,
+                max_nodes=13, max_splits=3, seed=seed))
+            team = random_team(rng, ("x1", "x2", "x3", "x4"), max_rows=10)
+            ev = TeamEvaluator(team.domain, team.rows, f, LAX)
+            models = [m for m in range(1 << len(team)) if ev.check_at(0, m)]
+            for sub in ((1 << len(team)) - 1, rng.getrandbits(len(team))):
+                got = ev.max_model(sub)
+                assert evaluate(team.subteam_mask(got), f, LAX), (seed, sub)
+                inside = [m for m in models if not m & ~sub]
+                assert all(not m & ~got for m in inside), (seed, sub)
+                assert got in inside, (seed, sub)
+            shapes.update(type(g) for g in ev.nodes)
+            shapes.update("& in |" for i, g in enumerate(ev.nodes)
+                          if type(g) is Or and And in
+                          {type(ev.nodes[k]) for k in ev.kids[i]})
+        assert {Top, Bot, Inc, "& in |"} <= shapes
+
+    def test_deep_formula_and_budget(self):
+        # Each level visits its split and its x; the innermost !x ends it.
+        depth = 3000
+        f = parse_formula("(x | " * depth + "!x" + ")" * depth)
+        ev = TeamEvaluator(("x",), [(0,), (1,)], f, LAX)
+        assert ev.max_model(0b11) == 0b11
+        assert ev.max_model(0b11, budget=2 * depth + 1) == 0b11
+        with pytest.raises(ResourceBoundError):
+            ev.max_model(0b11, budget=2 * depth)
+        assert ev.max_model(0, budget=0) == 0  # the empty team visits nothing
+
+    def test_rejects_dependence_atoms(self):
+        ev = TeamEvaluator(("x", "y"), [(0, 0), (0, 1)],
+                           parse_formula("x | =(x; y)"), LAX)
+        with pytest.raises(EngineNotApplicableError):
+            ev.max_model(0b11)
 
 
 class TestEvaluate:
