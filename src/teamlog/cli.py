@@ -115,18 +115,19 @@ def _cmd_sat(args) -> int:
     payload: dict = {"status": result.status.value}
     witness = result.witness
     if witness is not None:
-        # A lax PL/PINC witness is a model iff it is its own largest model,
-        # and a split-free formula needs no split enumeration: neither
-        # re-check needs a cap.
-        if (mode is SemanticsMode.LAX
-                and logic_kind(formula) in (LogicKind.PL, LogicKind.PINC)):
+        # A split-free formula needs no split enumeration, so its re-check
+        # is linear in the witness and needs no cap.  Beyond the cap, a lax
+        # PL/PINC witness is a model iff it is its own largest model.
+        if is_split_free(formula):
+            holds = evaluate(witness, formula, mode, cap=len(witness))
+        elif (len(witness) > DEFAULT_ENUMERATION_CAP
+              and mode is SemanticsMode.LAX
+              and logic_kind(formula) in (LogicKind.PL, LogicKind.PINC)):
             full = (1 << len(witness)) - 1
             ev = TeamEvaluator(witness.domain, witness.rows, formula, mode)
             holds = ev.max_model(full) == full
         else:
-            cap = (len(witness) if is_split_free(formula)
-                   else DEFAULT_ENUMERATION_CAP)
-            holds = evaluate(witness, formula, mode, cap=cap)
+            holds = evaluate(witness, formula, mode)
         if not holds:
             print(f"internal error: the {args.algo} witness fails its re-check",
                   file=sys.stderr)

@@ -9,8 +9,8 @@ Four routes with very different scaling behaviour:
   satisfiable iff some singleton team satisfies them.
 * :func:`sat_fixpoint` first takes the largest lax model among all
   assignments, which decides lax mode, and strict mode when it is empty.
-  Otherwise it runs a determinized backtracking search over the
-  choice points of a nondeterministic fixpoint construction:
+  Otherwise, in strict mode, it runs a determinized backtracking search
+  over the choice points of a nondeterministic fixpoint construction:
   guess small initial subteams per atom, then alternate bottom-up
   repair/union rounds with top-down copy/distribution rounds until the
   per-node teams stop growing.
@@ -256,9 +256,10 @@ def _walk_guesses(ycls: list, count: int):
 
 
 class _FixpointSearch:
-    """States hold a row bitmask over all assignments to VAR(f) per
-    position of the evaluator's node array; a negated literal is one
-    atom, so the variable position after a negation stays empty."""
+    """The strict-mode search.  States hold a row bitmask over all
+    assignments to VAR(f) per position of the evaluator's node array; a
+    negated literal is one atom, so the variable position after a
+    negation stays empty.  Splits route each row one way only."""
 
     def __init__(self, f: Formula, mode: SemanticsMode, budget: _Budget,
                  repair_log: Optional[list]):
@@ -344,17 +345,15 @@ class _FixpointSearch:
 
     def _routes(self, cur: tuple, new: list, s: int):
         """Route the rows at split ``s`` that neither child holds in
-        ``cur`` left, right or (lax) both ways, one budget unit a try."""
-        strict = self.ev.mode is SemanticsMode.STRICT
+        ``cur`` left or right, one budget unit a try."""
         left, right = self.ev.kids[s]
         base_l, base_r = cur[left], cur[right]
         fresh = _bits(new[s] & ~(base_l | base_r))
-        options = ("l", "r") if strict else ("l", "r", "b")
-        for combo in itertools.product(options, repeat=len(fresh)):
+        for combo in itertools.product((False, True), repeat=len(fresh)):
             self.budget.spend()
-            add_l = sum(1 << row for row, o in zip(fresh, combo) if o != "r")
-            add_r = sum(1 << row for row, o in zip(fresh, combo) if o != "l")
-            if strict and (base_l | add_l) & (base_r | add_r):
+            add_l = sum(1 << row for row, o in zip(fresh, combo) if not o)
+            add_r = sum(1 << row for row, o in zip(fresh, combo) if o)
+            if (base_l | add_l) & (base_r | add_r):
                 continue
             new[left], new[right] = base_l | add_l, base_r | add_r
             yield True
@@ -430,15 +429,17 @@ class _FixpointSearch:
 def sat_fixpoint(f: Formula, mode: SemanticsMode,
                  budget: int = DEFAULT_FIXPOINT_BUDGET,
                  repair_log: Optional[list] = None) -> SatResult:
-    """PINC satisfiability: a greatest fixpoint, then a search.
+    """PINC satisfiability: a greatest fixpoint, then (strict) a search.
 
     :meth:`TeamEvaluator.max_model` takes the largest lax model among all
-    assignments.  Empty, it means unsatisfiable in both modes (every
-    strict model is a lax model); in lax mode a nonempty one is the
-    witness.  Otherwise the determinized search exhausts the
-    initial-guess and split-distribution choices in canonical order
+    assignments, on ``budget`` units; running out means
+    :attr:`SatStatus.RESOURCE_EXHAUSTED`.  Empty, that model means
+    unsatisfiable in both modes (every strict model is a lax model); in
+    lax mode a nonempty one is the witness.  Otherwise strict mode runs
+    the determinized search, on ``budget`` units of its own: it exhausts
+    the initial-guess and split-distribution choices in canonical order
     (smaller guesses first), so the first accepted fixpoint is
-    deterministic.  Each step has ``budget`` units of its own.
+    deterministic.
     ``repair_log`` collects (before, after) team sizes for every
     inclusion repair.
     """
@@ -452,10 +453,10 @@ def sat_fixpoint(f: Formula, mode: SemanticsMode,
     try:
         largest = search.ev.max_model((1 << len(rows)) - 1, budget)
     except ResourceBoundError:
-        largest = None
-    if largest == 0:
+        return SatResult(SatStatus.RESOURCE_EXHAUSTED)
+    if not largest:
         return SatResult(SatStatus.UNSATISFIABLE)
-    if largest and mode is SemanticsMode.LAX:
+    if mode is SemanticsMode.LAX:
         return SatResult(SatStatus.SATISFIABLE,
                          _team(search.ev.domain, rows, largest))
     try:

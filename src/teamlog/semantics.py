@@ -38,6 +38,11 @@ __all__ = [
 
 DEFAULT_ENUMERATION_CAP = 16
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # row bits as base-2 digits
+# Below this many rows, one shift or OR per row beats the linear-time
+# column masks of :func:`_column_ones` and :meth:`TeamEvaluator.value_masks`
+# (measured on CPython 3.11 with 1- and 2-variable tuples: they cross
+# between 16 and 32 rows).
+_SHORT = 32
 
 
 class SemanticsMode(enum.Enum):
@@ -90,10 +95,13 @@ def members(bits: int) -> list[int]:
     return [i for i, ch in enumerate(reversed(bin(bits))) if ch == "1"]
 
 
-def _ones(bits: list[int]) -> int:
-    """The bitmask of the positions where ``bits`` holds 1, in linear
-    time: the bits read as one base-2 numeral."""
-    return int(bytes(reversed(bits)).translate(_DIGITS) or b"0", 2)
+def _column_ones(rows: list, i: int) -> int:
+    """The bitmask of the rows whose position ``i`` holds 1.  From
+    :data:`_SHORT` rows on, in linear time: the column read as one
+    base-2 numeral."""
+    if len(rows) < _SHORT:
+        return sum(1 << j for j, row in enumerate(rows) if row[i])
+    return int(bytes([row[i] for row in reversed(rows)]).translate(_DIGITS), 2)
 
 
 _LATTICES: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -140,19 +148,26 @@ class TeamEvaluator:
 
     def value_masks(self, vs) -> dict[tuple, int]:
         """Row bitmask of each value the rows take on the variables ``vs``,
-        in order of first occurrence, in time linear in the rows."""
+        in order of first occurrence.
+
+        One OR per row costs O(rows^2 / 64) word operations, as each OR
+        copies the value's growing mask.  Each value's mask is also the AND
+        of one column mask or its complement per variable, at most
+        ``k * 2^k`` ANDs for ``k = len(vs)``, O(k * 2^k * rows / 64) in all.
+        Measured, the ANDs win from ``4 * k * 2^k`` rows (and
+        :data:`_SHORT`) on; below that, and so for wide tuples, the rows
+        are ORed in one by one.
+        """
         columns = [[row[self._index[v]] for row in self.rows] for v in vs]
         keys = zip(*columns) if vs else [()] * len(self.rows)
         out: dict[tuple, int] = {}
-        if len(self.rows) <= 64:
-            # Masks of at most 64 bits: an OR per row is cheapest.
+        if len(self.rows) < max(_SHORT, len(vs) << len(vs) + 2):
             for j, key in enumerate(keys):
                 out[key] = out.get(key, 0) | 1 << j
             return out
-        # Wider masks: each value's mask is the AND of one column mask or
-        # its complement per variable.
         full = (1 << len(self.rows)) - 1
-        pairs = [(full ^ ones, ones) for ones in map(_ones, columns)]
+        pairs = [(full ^ ones, ones) for ones in
+                 (_column_ones(self.rows, self._index[v]) for v in vs)]
         for key in dict.fromkeys(keys):
             mask = full
             for pair, bit in zip(pairs, key):
@@ -180,8 +195,7 @@ class TeamEvaluator:
                 bad = full
             else:
                 name = node.name if isinstance(node, VarRef) else node.child.name
-                i = self._index[name]
-                ones = _ones([row[i] for row in self.rows])
+                ones = _column_ones(self.rows, self._index[name])
                 bad = full ^ ones if isinstance(node, VarRef) else ones
             cons = [(bad, bad, 0)] if bad else []
         elif isinstance(node, Dep):

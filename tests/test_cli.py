@@ -174,11 +174,37 @@ class TestSat:
         assert report["result"]["status"] == "satisfiable"
         assert len(report["result"]["witness"]["rows"]) == 32
 
-    def test_failed_lax_witness_recheck_is_internal_error(self, files, capsys,
-                                                          monkeypatch):
-        wrong = SatResult(SatStatus.SATISFIABLE, Team(("x",), ((0,), (1,))))
+    def test_lax_witness_within_cap_is_rechecked_by_evaluate(
+            self, files, capsys, monkeypatch):
+        # within the 16-row cap the re-check enumerates splits, so it does
+        # not depend on max_model, which built the witness
+        calls = []
+        evaluate = cli.evaluate
+
+        def counted(team, *args, **kwargs):
+            calls.append(len(team))
+            return evaluate(team, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", counted)
+        f = files("f.tl", "x1 | inc(x1; x2)")
+        code, report = run(capsys, "sat", f, "--algo", "fixpoint",
+                           "--semantics", "lax")
+        assert code == EXIT_OK
+        assert len(report["result"]["witness"]["rows"]) == 4
+        assert calls == [4]
+
+    @pytest.mark.parametrize("size", [2, 32])
+    def test_failed_lax_witness_recheck_is_internal_error(
+            self, files, capsys, monkeypatch, size):
+        # x1 fails on half the rows: evaluate (2 rows) and max_model
+        # (32 rows, beyond the cap) both reject the witness
+        vs = tuple(f"x{k}" for k in range(1, size.bit_length()))
+        rows = tuple(tuple(r >> (len(vs) - 1 - k) & 1 for k in range(len(vs)))
+                     for r in range(size))
+        wrong = SatResult(SatStatus.SATISFIABLE, Team(vs, rows))
         monkeypatch.setattr(cli, "sat_fixpoint", lambda *a, **k: wrong)
-        f = files("f.tl", "x | (inc(x; x) & B)")
+        f = files("f.tl", " & ".join(f"inc({v}; {v})" for v in vs)
+                  + " & (x1 | (inc(x1; x1) & B))")
         code = main(["sat", f, "--algo", "fixpoint", "--semantics", "lax"])
         captured = capsys.readouterr()
         assert code == EXIT_INTERNAL

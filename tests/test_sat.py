@@ -318,6 +318,21 @@ class TestFixpoint:
         assert lax.witness.rows == ((0, 1), (1, 0), (1, 1))
         assert not evaluate(lax.witness, f, STRICT)
 
+    def test_lax_answers_from_the_largest_model_alone(self):
+        # Lax mode never searches, so no inclusion repair is logged.  When
+        # the largest-model walk (3 visits here) runs out of budget, both
+        # modes answer exhausted.
+        f = parse_formula("(inc(x; y) | inc(y; x)) | (inc(x; z) | !z)")
+        log = []
+        r = sat_fixpoint(f, LAX, repair_log=log)
+        assert_verified(r, f, LAX)
+        assert len(r.witness) == 8 and log == []
+        for mode in (STRICT, LAX):
+            for budget in range(3):
+                r = sat_fixpoint(f, mode, budget=budget)
+                assert r.status is SatStatus.RESOURCE_EXHAUSTED, budget
+        assert sat_fixpoint(f, LAX, budget=3).status is SAT
+
     def test_rejects_other_logics(self):
         with pytest.raises(EngineNotApplicableError):
             sat_fixpoint(parse_formula("=(x; y)"), STRICT)

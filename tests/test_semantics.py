@@ -204,10 +204,11 @@ class TestAtomKernel:
 
 
 def test_value_masks_match_row_loop():
-    # Both regimes (up to 64 rows, and more) against one OR per row.
+    # Both regimes (one OR per row below max(32, 4 k 2^k) rows for k
+    # variables, column ANDs from there on) against one OR per row.
     rng = random.Random(7)
     domain = tuple(f"x{j}" for j in range(8))
-    for n in (0, 1, 2, 63, 64, 65, 200):
+    for n in (0, 1, 2, 31, 32, 95, 96, 255, 256):
         rows = rng.sample(range(256), n)
         rows = [tuple(r >> (7 - j) & 1 for j in range(8)) for r in rows]
         ev = TeamEvaluator(domain, rows, Top(), STRICT)
