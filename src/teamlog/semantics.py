@@ -161,11 +161,12 @@ class TeamEvaluator:
         columns = [[row[self._index[v]] for row in self.rows] for v in vs]
         keys = zip(*columns) if vs else [()] * len(self.rows)
         out: dict[tuple, int] = {}
-        if len(self.rows) < max(_SHORT, len(vs) << len(vs) + 2):
+        n = len(self.rows)
+        if n < _SHORT or n < len(vs) << len(vs) + 2:
             for j, key in enumerate(keys):
                 out[key] = out.get(key, 0) | 1 << j
             return out
-        full = (1 << len(self.rows)) - 1
+        full = (1 << n) - 1
         pairs = [(full ^ ones, ones) for ones in
                  (_column_ones(self.rows, self._index[v]) for v in vs)]
         for key in dict.fromkeys(keys):
