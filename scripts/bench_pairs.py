@@ -14,7 +14,9 @@ summarised the same way.
 
 The output file holds one entry per workload, so runs of several
 workloads can share it: an existing file is updated, and only the entry
-of this workload is replaced.  Each entry keeps every run's metrics and
+of this workload is replaced.  Its header names the commits, the Python
+version, ``nproc`` and the ``PYTHONDONTWRITEBYTECODE`` value the runs
+inherit, which decides whether ``cli`` runs compile the package afresh.  Each entry keeps every run's metrics and
 ``calibration_ms`` (the time of a fixed Python loop, which shows how
 loaded the machine was), and per metric the median and quartiles of each
 side plus the number of pairs the change won (ties count for neither).
@@ -157,6 +159,8 @@ def main(argv=None) -> int:
         "commits": commits,
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
+        # the runs inherit it: unset (null) lets them cache bytecode
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     })
     entry = {"seeds": args.seeds, "seconds": args.seconds,
              "summary": _summary(pairs, better), "pairs": pairs}

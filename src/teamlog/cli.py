@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=os.environ.get("TEAMLOG_BUDGET") or None,
                    help="search budget (overrides TEAMLOG_BUDGET)")
     p.add_argument("--max-vars", type=int, default=4,
-                   help="variable bound for the brute-force engine")
+                   help="brute-force variable bound (reach: 16 assignments)")
     common(p)
     p.set_defaults(func=_cmd_sat)
 

@@ -2,8 +2,8 @@
 
 Four routes with very different scaling behaviour:
 
-* :func:`sat_brute` enumerates every nonempty team over the formula's
-  variables.  It is the reference oracle for the other engines.
+* :func:`sat_brute` reads the least satisfying team off bottom-up tables
+  over the first 1, 2, 4, 8 and 16 assignments; the reference oracle.
 * :func:`sat_singleton` searches single assignments, bit-parallel over
   blocks of them; complete for PL, PDL and PIND, whose formulas are
   satisfiable iff some singleton team satisfies them.
@@ -41,8 +41,9 @@ from .formulas import (
     node_array,
     variables,
 )
-from .semantics import (SemanticsMode, TeamEvaluator, _bits, eval_inc,
-                        lattice, members)
+from .modelcheck import build_sat_table
+from .semantics import (DEFAULT_ENUMERATION_CAP, SemanticsMode, TeamEvaluator,
+                        _bits, eval_inc, lattice, members)
 from .teams import Team
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
 ]
 
 DEFAULT_BRUTE_MAX_VARS = 4
+SPLIT_FREE_MAX_FREE_VARS = 20
 DEFAULT_FIXPOINT_BUDGET = 2_000_000
 #: sat_singleton evaluates 2**_BLOCK_BITS assignments per bit-parallel pass
 _BLOCK_BITS = 12
@@ -81,11 +83,11 @@ class SatResult:
                 raise ValueError("a satisfiability witness must be nonempty")
 
 
-def _all_rows(n: int) -> list[tuple[int, ...]]:
-    """All assignments over ``n`` variables, ordered as binary numbers."""
-    return [
-        tuple(i >> (n - 1 - j) & 1 for j in range(n)) for i in range(1 << n)
-    ]
+def _all_rows(n: int, count: Optional[int] = None) -> list[tuple[int, ...]]:
+    """The first ``count`` (default all) assignments over ``n`` variables,
+    ordered as binary numbers."""
+    return [tuple(i >> (n - 1 - j) & 1 for j in range(n))
+            for i in range(1 << n)[:count]]
 
 
 def _team(vs: tuple[str, ...], rows: list, mask: int) -> Team:
@@ -106,34 +108,31 @@ class _Budget:
 def sat_brute(f: Formula, mode: SemanticsMode,
               max_vars: int = DEFAULT_BRUTE_MAX_VARS,
               budget: int = DEFAULT_FIXPOINT_BUDGET) -> SatResult:
-    """Enumerate all nonempty teams over VAR(f) in canonical order.
+    """The satisfying team over VAR(f) with the least mask.
 
-    Teams are subsets of the assignment list encoded as bitmasks and
-    scanned in increasing mask order, so the returned witness is the
-    satisfying team with the least mask.  Singletons do not all come
-    first: mask 3 (two rows) precedes mask 4 (one row).  Each
-    candidate team spends one unit of ``budget``.  No later candidate
-    revisits a candidate's own mask, so the memo entries that the root
-    and its :func:`conjuncts` leave at that mask are dropped after each check;
-    entries at proper submasks, left by splits, are kept for reuse.
+    Teams are subsets of the assignment list encoded as bitmasks.  The
+    root of :func:`~teamlog.modelcheck.build_sat_table` over the first
+    ``k`` assignments holds every mask below ``2**k``; ``k`` doubles from
+    1 to 16, the enumeration cap, so past 4 variables a formula with no
+    model among the first 16 assignments is RESOURCE_EXHAUSTED.  Each
+    candidate team up to the answer spends one unit of ``budget``, as in
+    a scan in increasing mask order (mask 3 precedes mask 4).
     """
     vs = variables(f)
     if len(vs) > max_vars:
         return SatResult(SatStatus.RESOURCE_EXHAUSTED)
-    rows = _all_rows(len(vs))
-    ev = TeamEvaluator(vs, rows, f, mode)
-    spine = {0, *conjuncts(ev.nodes, ev.kids, 0)}
-    spent = _Budget(budget)
-    try:
-        for mask in range(1, 1 << len(rows)):
-            spent.spend()
-            if ev.check_at(0, mask):
-                return SatResult(SatStatus.SATISFIABLE, _team(vs, rows, mask))
-            for i in spine:
-                ev.memo.pop((i, mask), None)
-    except ResourceBoundError:
-        return SatResult(SatStatus.RESOURCE_EXHAUSTED)
-    return SatResult(SatStatus.UNSATISFIABLE)
+    rows = _all_rows(len(vs), DEFAULT_ENUMERATION_CAP)
+    for k in (1, 2, 4, 8, 16):  # returns at k == len(rows) at the latest
+        root = build_sat_table(Team(vs, tuple(rows[:k])), f, mode).bits[0]
+        found = root >> 1  # bit m - 1 for each nonempty satisfying mask m
+        least = (found & -found).bit_length()  # 0 if there is none
+        if 0 < least <= budget:
+            return SatResult(SatStatus.SATISFIABLE, _team(vs, rows, least))
+        # here any model found exceeds the budget, so budget < 2**k
+        if k == 1 << len(vs) and budget >= (1 << k) - 1:
+            return SatResult(SatStatus.UNSATISFIABLE)
+        if k == len(rows) or budget < 1 << k:
+            return SatResult(SatStatus.RESOURCE_EXHAUSTED)
 
 
 def sat_singleton(f: Formula,
@@ -472,7 +471,7 @@ def sat_fixpoint(f: Formula, mode: SemanticsMode,
 # ---------------------------------------------------------------------------
 # Labelling procedure for split-free PINC
 
-def sat_split_free(f: Formula, max_free_vars: int = 20) -> SatResult:
+def sat_split_free(f: Formula) -> SatResult:
     """SAT for split-free PINC: label propagation, then a greatest fixpoint.
 
     Literals pin their variables; inclusion atoms propagate a label on
@@ -530,9 +529,10 @@ def sat_split_free(f: Formula, max_free_vars: int = 20) -> SatResult:
 
     vs = variables(f)
     free = [v for v in vs if v not in labels]
-    if len(free) > max_free_vars:
+    if len(free) > SPLIT_FREE_MAX_FREE_VARS:
         raise ResourceBoundError(
-            f"witness would need 2^{len(free)} rows; cap is 2^{max_free_vars}"
+            f"witness would need 2^{len(free)} rows; "
+            f"cap is 2^{SPLIT_FREE_MAX_FREE_VARS}"
         )
     rows = []
     for bits in itertools.product((0, 1), repeat=len(free)):

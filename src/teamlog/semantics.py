@@ -125,7 +125,7 @@ class TeamEvaluator:
 
     Subteams are bitmasks over the row order; results are memoized per
     (position in :func:`node_array`, mask) so repeated queries (split
-    enumeration, SAT scans over many candidate teams) stay cheap.  A
+    enumeration, the fixpoint search's re-checks) stay cheap.  A
     conjunction loops over its :func:`conjuncts`, so only splits nest
     calls.  Atoms compile, by :meth:`_atom`, to row-mask constraints.
     """

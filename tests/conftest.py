@@ -26,7 +26,7 @@ from teamlog import (
 )
 from teamlog.formulas import And, Or, atom_variables, render_formula
 from teamlog.sat import SatResult, SatStatus, _all_rows
-from teamlog.semantics import SemanticsMode
+from teamlog.semantics import SemanticsMode, TeamEvaluator
 from teamlog.structure import GaifmanGraph, TreeDecomposition, _eliminate
 
 # A nested-split PDL formula with a known shape: 10 AST nodes, depth 3,
@@ -147,6 +147,25 @@ def reference_singleton(f) -> SatResult:
         team = Team(vs, (row,))
         if evaluate(team, f, SemanticsMode.STRICT):
             return SatResult(SatStatus.SATISFIABLE, team)
+    return SatResult(SatStatus.UNSATISFIABLE)
+
+
+def reference_brute(f, mode: SemanticsMode, max_vars: int = 4,
+                    budget: int = 2_000_000) -> SatResult:
+    """SAT by one evaluator check per nonempty team over ``_all_rows``, in
+    increasing mask order, one unit of ``budget`` each: the first
+    satisfying mask is the witness."""
+    vs = variables(f)
+    if len(vs) > max_vars:
+        return SatResult(SatStatus.RESOURCE_EXHAUSTED)
+    rows = _all_rows(len(vs))
+    ev = TeamEvaluator(vs, rows, f, mode)
+    for mask in range(1, 1 << len(rows)):
+        if mask > budget:
+            return SatResult(SatStatus.RESOURCE_EXHAUSTED)
+        if ev.check_at(0, mask):
+            picked = (r for i, r in enumerate(rows) if mask >> i & 1)
+            return SatResult(SatStatus.SATISFIABLE, Team(vs, tuple(picked)))
     return SatResult(SatStatus.UNSATISFIABLE)
 
 

@@ -24,6 +24,7 @@ from teamlog.errors import RepairError
 from teamlog.sat import (
     SatResult,
     SatStatus,
+    _all_rows,
     repair_inclusion,
     sat_brute,
     sat_fixpoint,
@@ -33,7 +34,7 @@ from teamlog.sat import (
 from teamlog.semantics import SemanticsMode, TeamEvaluator, eval_inc
 from teamlog.reductions import RandomFormulaConfig, random_formula
 
-from conftest import child_env, reference_singleton
+from conftest import child_env, reference_brute, reference_singleton
 
 STRICT = SemanticsMode.STRICT
 LAX = SemanticsMode.LAX
@@ -74,7 +75,7 @@ class TestBrute:
             is UNSAT
 
     def test_variable_bound(self):
-        # satisfied by the all-zero row, which the scan reaches first
+        # satisfied by the all-zero row, the first table's only row
         f = parse_formula("!a & !b & !c & !d & !e")
         assert sat_brute(f, STRICT, max_vars=4).status \
             is SatStatus.RESOURCE_EXHAUSTED
@@ -87,25 +88,62 @@ class TestBrute:
                 is SatStatus.RESOURCE_EXHAUSTED
             assert sat_brute(f, mode, max_vars=4).status is UNSAT
 
-    def test_memo_keeps_no_candidate_mask(self, monkeypatch):
-        # every check of this conjunction runs at the candidate's own
-        # mask, which no later candidate revisits, so nothing is kept
-        seen = []
-        init = TeamEvaluator.__init__
-
-        def recorded(self, *args):
-            init(self, *args)
-            seen.append(self)
-
-        monkeypatch.setattr(TeamEvaluator, "__init__", recorded)
-        f = parse_formula("(a & !a) & (b & (inc(c; d) & inc(d; c)))")
+    def test_reads_tables_not_candidates(self, monkeypatch):
+        def refuse(self, i, mask):
+            raise AssertionError("sat_brute checked a candidate team")
+        monkeypatch.setattr(TeamEvaluator, "check_at", refuse)
         for mode in (STRICT, LAX):
+            r = sat_brute(parse_formula("x | y"), mode)
+            assert r.witness.rows == ((0, 1),)
+            f = parse_formula("inc(x; y) & x & !y")
             assert sat_brute(f, mode).status is UNSAT
-        assert len(seen) == 2
-        assert all(ev.memo == {} for ev in seen)
+            with pytest.raises(AssertionError):
+                reference_brute(f, mode)
+
+    def test_reach_ends_at_sixteen_assignments(self, monkeypatch):
+        # the one row 10000 is the 17th assignment, so the least model
+        # is mask 2^16, past the 16-row tables; a model among the first
+        # assignments needs no larger table
+        sizes = []
+        build = sat.build_sat_table
+
+        def recorded(team, *args):
+            sizes.append(len(team))
+            return build(team, *args)
+
+        monkeypatch.setattr(sat, "build_sat_table", recorded)
+        for mode in (STRICT, LAX):
+            f = parse_formula("a & !b & !c & !d & !e")
+            assert sat_brute(f, mode, max_vars=5).status is EXHAUSTED
+            assert sat_brute(parse_formula("!a & b"), mode).status is SAT
+        assert sizes == [1, 2, 4, 8, 16, 1, 2] * 2
+
+    @pytest.mark.parametrize("logic", list(LogicKind))
+    def test_matches_reference_scan(self, logic):
+        # budgets on both sides of the least model m, and of the
+        # 2^(2^n) - 1 nonempty teams when there is none; from there on
+        # the full scan's answer stands
+        formulas = [parse_formula(t) for t in ("T", "B | (T & B)")]
+        formulas += [random_formula(RandomFormulaConfig(
+            logic=logic, max_vars=1 + seed % 4, max_nodes=9, seed=seed))
+            for seed in range(160)]
+        for f in formulas:
+            rows = _all_rows(len(variables(f)))
+            for mode in (STRICT, LAX):
+                full = reference_brute(f, mode)
+                if full.status is SAT:
+                    m = sum(1 << rows.index(r) for r in full.witness.rows)
+                    below, rest = {0, m - 1}, (m, m + 1)
+                else:
+                    below, rest = {(1 << len(rows)) - 2}, ((1 << len(rows)) - 1,)
+                for budget in below:
+                    assert sat_brute(f, mode, budget=budget) == \
+                        reference_brute(f, mode, budget=budget)
+                for budget in rest:
+                    assert sat_brute(f, mode, budget=budget) == full
 
     def test_witness_is_canonically_least(self):
-        # teams scan in increasing bitmask order over the binary-ordered
+        # the witness has the least bitmask over the binary-ordered
         # assignment list, so {x=0,y=1} beats every later satisfying team
         r = sat_brute(parse_formula("x | y"), STRICT)
         assert r.witness.rows == ((0, 1),)
