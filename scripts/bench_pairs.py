@@ -16,10 +16,11 @@ The output file holds one entry per workload, so runs of several
 workloads can share it: an existing file is updated, and only the entry
 of this workload is replaced.  Its header names the commits, the Python
 version, ``nproc`` and the ``PYTHONDONTWRITEBYTECODE`` value the runs
-inherit, which decides whether ``cli`` runs compile the package afresh.  Each entry keeps every run's metrics and
-``calibration_ms`` (the time of a fixed Python loop, which shows how
-loaded the machine was), and per metric the median and quartiles of each
-side plus the number of pairs the change won (ties count for neither).
+inherit, which decides whether ``cli`` runs compile the package afresh.
+Each entry keeps every run's metrics and ``calibration_ms`` (the time of
+a fixed Python loop, which shows how loaded the machine was), and per
+metric the median and quartiles of each side plus the number of pairs
+the change won (ties count for neither).
 """
 
 from __future__ import annotations
