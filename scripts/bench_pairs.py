@@ -20,7 +20,9 @@ inherit, which decides whether ``cli`` runs compile the package afresh.
 Each entry keeps every run's metrics and ``calibration_ms`` (the time of
 a fixed Python loop, which shows how loaded the machine was), and per
 metric the median and quartiles of each side plus the number of pairs
-the change won (ties count for neither).
+the change won (ties count for neither).  Each end-to-end metric also
+gets a ``verdict`` against its relative ``bound`` in ``BENCHMARK.json``
+(see :func:`verdict`).
 """
 
 from __future__ import annotations
@@ -84,8 +86,27 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs won."""
+def verdict(parent: list[float], change: list[float], better: str,
+            bound: float) -> str:
+    """``worse`` if the change's median is worse than the parent's by more
+    than ``bound`` of it; else ``unresolved`` if the parent's interquartile
+    range exceeds ``bound`` of its median, unless every change run beats
+    every parent run; else ``not worse``."""
+    sign = 1 if better == "higher" else -1
+    base = _spread(parent)
+    if sign * (base["median"] - statistics.median(change)) > \
+            bound * abs(base["median"]):
+        return "worse"
+    if (base["q3"] - base["q1"] > bound * abs(base["median"])
+            and not all(sign * (b - a) > 0 for a in parent for b in change)):
+        return "unresolved"
+    return "not worse"
+
+
+def _summary(pairs: list[dict], better: dict[str, str],
+             bounds: dict[str, float]) -> dict:
+    """Per metric: each side's median and quartiles, the pairs won, and
+    for an end-to-end metric its :func:`verdict`."""
     done = [p for p in pairs if all("metrics" in p[s] for s in SIDES)]
     out = {}
     names = sorted({k for p in done for s in SIDES for k in p[s]["metrics"]})
@@ -103,6 +124,10 @@ def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
             entry["better"] = better[name]
             entry["change_wins"] = sum(1 for a, b in both if sign * (b - a) > 0)
             entry["parent_wins"] = sum(1 for a, b in both if sign * (a - b) > 0)
+        if name in bounds:
+            entry["verdict"] = verdict([a for a, _ in both],
+                                       [b for _, b in both], better[name],
+                                       bounds[name])
         out[name] = entry
     return out
 
@@ -144,6 +169,7 @@ def main(argv=None) -> int:
         p.error(f"{out_path} holds runs of other commits: {out['commits']}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {}
         for side in SIDES:
@@ -164,11 +190,15 @@ def main(argv=None) -> int:
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     })
     entry = {"seeds": args.seeds, "seconds": args.seconds,
-             "summary": _summary(pairs, better), "pairs": pairs}
+             "summary": _summary(pairs, better, bounds), "pairs": pairs}
     if traced:
-        entry["traced_summary"] = _summary(traced, better)
+        entry["traced_summary"] = _summary(traced, better, bounds)
         entry["traced_pairs"] = traced
     out.setdefault("workloads", {})[args.workload] = entry
+    for name, summary in entry["summary"].items():
+        if "verdict" in summary:
+            print(f"{args.workload} {name}: {summary['verdict']}",
+                  file=sys.stderr)
     out_path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 

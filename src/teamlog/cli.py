@@ -62,13 +62,14 @@ def _mode(name: str) -> SemanticsMode:
     return SemanticsMode.STRICT if name == "strict" else SemanticsMode.LAX
 
 
-def _budget(text: str) -> int:
-    """A search budget: a non-negative integer."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"a budget (--budget or TEAMLOG_BUDGET) is a non-negative "
-            f"integer, not {text!r}")
-    return int(text)
+def _count(what: str):
+    """A parser of non-negative integers; ``what`` names the input."""
+    def parse(text: str) -> int:
+        if not text.isdecimal():
+            raise argparse.ArgumentTypeError(
+                f"{what} is a non-negative integer, not {text!r}")
+        return int(text)
+    return parse
 
 
 def _report(args, payload: dict, engine: str, started: float) -> dict:
@@ -228,10 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["brute", "singleton", "fixpoint", "splitfree"],
                    default="brute")
     # argparse converts a string default with ``type`` too
-    p.add_argument("--budget", type=_budget,
+    p.add_argument("--budget",
+                   type=_count("a budget (--budget or TEAMLOG_BUDGET)"),
                    default=os.environ.get("TEAMLOG_BUDGET") or None,
                    help="search budget (overrides TEAMLOG_BUDGET)")
-    p.add_argument("--max-vars", type=int, default=4,
+    p.add_argument("--max-vars", default=4,
+                   type=_count("a variable bound (--max-vars)"),
                    help="brute-force variable bound (reach: 16 assignments)")
     common(p)
     p.set_defaults(func=_cmd_sat)

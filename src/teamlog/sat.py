@@ -7,16 +7,15 @@ Four routes with very different scaling behaviour:
 * :func:`sat_singleton` searches single assignments, bit-parallel over
   blocks of them; complete for PL, PDL and PIND, whose formulas are
   satisfiable iff some singleton team satisfies them.
-* :func:`sat_fixpoint` first takes the largest lax model among all
-  assignments, which decides lax mode, and strict mode when it is empty.
-  Otherwise, in strict mode, it runs a determinized backtracking search
-  over the choice points of a nondeterministic fixpoint construction:
-  guess small initial subteams per atom, then alternate bottom-up
-  repair/union rounds with top-down copy/distribution rounds until the
-  per-node teams stop growing.
-* :func:`sat_split_free` decides disjunction-free PINC in polynomial
-  time by propagating literal labels through inclusion atoms, then
-  taking the same greatest fixpoint over the label-consistent rows.
+* :func:`sat_fixpoint` and :func:`sat_split_free` share one row space,
+  the assignments that agree with the literal labels of the top-level
+  conjuncts as inclusion atoms propagate them, and take the largest lax
+  model in it.  That decides lax mode, split-free input, and strict mode
+  when it is empty.  Otherwise strict :func:`sat_fixpoint` runs a
+  determinized backtracking search over the choice points of a
+  nondeterministic fixpoint construction: guess small initial subteams
+  per atom, then alternate bottom-up repair/union rounds with top-down
+  copy/distribution rounds until the per-node teams stop growing.
 """
 
 from __future__ import annotations
@@ -37,8 +36,10 @@ from .formulas import (
     Or,
     VarRef,
     conjuncts,
+    is_split_free,
     logic_kind,
     node_array,
+    variable_names,
     variables,
 )
 from .modelcheck import build_sat_table
@@ -58,7 +59,8 @@ __all__ = [
 ]
 
 DEFAULT_BRUTE_MAX_VARS = 4
-SPLIT_FREE_MAX_FREE_VARS = 20
+#: the label-consistent row space holds at most 2**MAX_FREE_VARS rows
+MAX_FREE_VARS = 20
 DEFAULT_FIXPOINT_BUDGET = 2_000_000
 #: sat_singleton evaluates 2**_BLOCK_BITS assignments per bit-parallel pass
 _BLOCK_BITS = 12
@@ -255,18 +257,17 @@ def _walk_guesses(ycls: list, count: int):
 
 
 class _FixpointSearch:
-    """The strict-mode search.  States hold a row bitmask over all
-    assignments to VAR(f) per position of the evaluator's node array; a
-    negated literal is one atom, so the variable position after a
-    negation stays empty.  Splits route each row one way only."""
+    """The strict-mode search.  States hold a row bitmask over the rows of
+    ``ev`` per position of its node array; a negated literal is one atom,
+    so the variable position after a negation stays empty.  Splits route
+    each row one way only."""
 
-    def __init__(self, f: Formula, mode: SemanticsMode, budget: _Budget,
+    def __init__(self, ev: TeamEvaluator, budget: _Budget,
                  repair_log: Optional[list]):
         self.budget = budget
         self.repair_log = repair_log
-        vs = variables(f)
-        self.ev = TeamEvaluator(vs, _all_rows(len(vs)), f, mode)
-        nodes, kids = self.ev.nodes, self.ev.kids
+        self.ev = ev
+        nodes, kids = ev.nodes, ev.kids
         self.live = [i for i in range(len(nodes))
                      if not (i and type(nodes[i - 1]) is Not)]
         self.atoms = [i for i in self.live if len(kids[i]) < 2]
@@ -302,15 +303,17 @@ class _FixpointSearch:
 
     # -- rounds -------------------------------------------------------------
 
-    def _mirror(self, i: int) -> list[int]:
+    def _mirror(self, i: int) -> list[Optional[int]]:
         """Per row, the index of the row with the x-value of the inclusion
-        atom at position ``i`` copied into the y-positions."""
+        atom at position ``i`` copied into the y-positions, or None if that
+        row lies outside the row space."""
         mirror = self._mirrors.get(i)
         if mirror is None:
             atom, index = self.ev.nodes[i], self.ev._index
             pairs = [(index[x], index[y]) for x, y in zip(atom.xs, atom.ys)]
             position = {row: k for k, row in enumerate(self.ev.rows)}
-            mirror = [position[_mirrored(row, pairs)] for row in self.ev.rows]
+            mirror = [position.get(_mirrored(row, pairs))
+                      for row in self.ev.rows]
             self._mirrors[i] = mirror
         return mirror
 
@@ -324,6 +327,10 @@ class _FixpointSearch:
         if not self.ev.check_at(i, rows):
             mirror = self._mirror(i)
             for r in _bits(rows):
+                # Rows only accumulate and reach the root, and every model
+                # lies in the row space: a row outside it is a dead state.
+                if mirror[r] is None:
+                    raise _Reject
                 repaired |= 1 << mirror[r]
             if not self.ev.check_at(i, repaired):
                 raise _Reject
@@ -425,14 +432,80 @@ class _FixpointSearch:
         return None
 
 
+def _row_space(f: Formula, mode: SemanticsMode) -> Optional[TeamEvaluator]:
+    """An evaluator over the assignments to VAR(f) that agree with the
+    labels, in :func:`_all_rows` order; None if the labels clash.
+
+    A top-level literal labels its variable; a top-level inclusion atom
+    carries a label on a right-hand variable to the left-hand variable at
+    the same position.  Every model, lax or strict, satisfies each
+    top-level conjunct and so lies in these rows.  More than
+    ``2**MAX_FREE_VARS`` of them raise :class:`ResourceBoundError` before
+    any is built.
+    """
+    nodes, kids = node_array(f)
+    parts = [nodes[i] for i in conjuncts(nodes, kids, 0)]
+    labels: dict[str, int] = {}
+    for g in parts:
+        if isinstance(g, VarRef):
+            v, c = g.name, 1
+        elif isinstance(g, Not):
+            v, c = g.child.name, 0
+        elif isinstance(g, Bot):
+            return None
+        else:
+            continue
+        if labels.setdefault(v, c) != c:
+            return None
+    # A FIFO worklist over the labelled variables.
+    inc_atoms = [g for g in parts if isinstance(g, Inc)]
+    queue = list(labels)
+    for v in queue:
+        for atom in inc_atoms:
+            for p, q in zip(atom.xs, atom.ys):
+                if q == v:
+                    if p not in labels:
+                        queue.append(p)
+                    if labels.setdefault(p, labels[v]) != labels[v]:
+                        return None
+    vs = tuple(sorted(variable_names(nodes)))
+    k = len(vs) - len(labels)  # the unlabelled variables
+    if k > MAX_FREE_VARS:
+        raise ResourceBoundError(
+            f"the labels leave 2^{k} rows; cap is 2^{MAX_FREE_VARS}")
+    # Per variable, its label or the bit of the row index that it takes.
+    free = iter(range(k - 1, -1, -1))
+    cols = [(labels[v], -1) if v in labels else (0, next(free)) for v in vs]
+    rows = [tuple(c if b < 0 else i >> b & 1 for c, b in cols)
+            for i in range(1 << k)]
+    return TeamEvaluator(vs, rows, f, mode)
+
+
+def _fixpoint(f: Formula, mode: SemanticsMode, budget: Optional[int],
+              repair_log: Optional[list]) -> SatResult:
+    """:func:`sat_fixpoint` once ``f`` is known to be PL or PINC."""
+    ev = _row_space(f, mode)
+    if ev is None:
+        return SatResult(SatStatus.UNSATISFIABLE)
+    try:
+        found = ev.max_model((1 << len(ev.rows)) - 1, budget)
+        if found and mode is SemanticsMode.STRICT:
+            found = _FixpointSearch(ev, _Budget(budget), repair_log).run()
+    except ResourceBoundError:
+        return SatResult(SatStatus.RESOURCE_EXHAUSTED)
+    if not found:
+        return SatResult(SatStatus.UNSATISFIABLE)
+    return SatResult(SatStatus.SATISFIABLE, _team(ev.domain, ev.rows, found))
+
+
 def sat_fixpoint(f: Formula, mode: SemanticsMode,
                  budget: int = DEFAULT_FIXPOINT_BUDGET,
                  repair_log: Optional[list] = None) -> SatResult:
     """PINC satisfiability: a greatest fixpoint, then (strict) a search.
 
-    :meth:`TeamEvaluator.max_model` takes the largest lax model among all
-    assignments, on ``budget`` units; running out means
-    :attr:`SatStatus.RESOURCE_EXHAUSTED`.  Empty, that model means
+    :meth:`TeamEvaluator.max_model` takes the largest lax model in the
+    row space of :func:`_row_space`, on ``budget`` units; running out
+    means :attr:`SatStatus.RESOURCE_EXHAUSTED`.  Empty, that model means
     unsatisfiable in both modes (every strict model is a lax model); in
     lax mode a nonempty one is the witness.  Otherwise strict mode runs
     the determinized search, on ``budget`` units of its own: it exhausts
@@ -447,46 +520,14 @@ def sat_fixpoint(f: Formula, mode: SemanticsMode,
         raise EngineNotApplicableError(
             f"fixpoint search handles PINC (and plain PL), not {kind.value}"
         )
-    search = _FixpointSearch(f, mode, _Budget(budget), repair_log)
-    rows = search.ev.rows
-    try:
-        largest = search.ev.max_model((1 << len(rows)) - 1, budget)
-    except ResourceBoundError:
-        return SatResult(SatStatus.RESOURCE_EXHAUSTED)
-    if not largest:
-        return SatResult(SatStatus.UNSATISFIABLE)
-    if mode is SemanticsMode.LAX:
-        return SatResult(SatStatus.SATISFIABLE,
-                         _team(search.ev.domain, rows, largest))
-    try:
-        witness = search.run()
-    except ResourceBoundError:
-        return SatResult(SatStatus.RESOURCE_EXHAUSTED)
-    if witness is None:
-        return SatResult(SatStatus.UNSATISFIABLE)
-    return SatResult(SatStatus.SATISFIABLE,
-                     _team(search.ev.domain, search.ev.rows, witness))
+    return _fixpoint(f, mode, budget, repair_log)
 
-
-# ---------------------------------------------------------------------------
-# Labelling procedure for split-free PINC
 
 def sat_split_free(f: Formula) -> SatResult:
-    """SAT for split-free PINC: label propagation, then a greatest fixpoint.
-
-    Literals pin their variables; inclusion atoms propagate a label on
-    a right-hand variable to the left-hand variable at the same
-    position.  A variable labelled with both values means unsat.
-
-    Otherwise every satisfying team lies inside the label-consistent
-    full team, and split-free inclusion formulas are union closed, so
-    the union of all satisfying teams is the greatest fixpoint of the
-    atoms' kernel constraints, :meth:`TeamEvaluator.max_model`, which
-    deletes rows whose x-value lacks a y-witness.  The formula is
-    satisfiable iff that fixpoint is nonempty; the fixpoint is the
-    witness.  (The pruning matters only for
-    inclusion atoms whose tuples repeat or share variables; for disjoint
-    single occurrences the label-consistent team is already satisfying.)
+    """SAT for split-free PINC in polynomial time: the largest model in
+    the row space of :func:`_row_space`, with no budget.  Split-free PINC
+    is union closed, so that model is the union of all models, strict and
+    lax alike; it is the witness.
     """
     kind = logic_kind(f)
     if kind not in (LogicKind.PL, LogicKind.PINC):
@@ -494,53 +535,8 @@ def sat_split_free(f: Formula) -> SatResult:
             f"the labelling procedure handles PINC (and plain PL), "
             f"not {kind.value}"
         )
-    nodes, kids = node_array(f)
-    parts = [nodes[i] for i in conjuncts(nodes, kids, 0)]
-    if any(isinstance(g, Or) for g in parts):
+    if not is_split_free(f):
         raise EngineNotApplicableError(
             "the labelling procedure requires a split-free formula"
         )
-    inc_atoms = [g for g in parts if isinstance(g, Inc)]
-    labels: dict[str, int] = {}
-    for g in parts:
-        if isinstance(g, VarRef):
-            v, c = g.name, 1
-        elif isinstance(g, Not):
-            v, c = g.child.name, 0
-        elif isinstance(g, Bot):
-            return SatResult(SatStatus.UNSATISFIABLE)
-        else:
-            continue
-        if labels.setdefault(v, c) != c:
-            return SatResult(SatStatus.UNSATISFIABLE)
-
-    # FIFO worklist over labelled variables; each propagation step
-    # copies a label from a y-position to the matching x-position.
-    queue = list(labels)
-    for v in queue:
-        c = labels[v]
-        for atom in inc_atoms:
-            for p, q in zip(atom.xs, atom.ys):
-                if q == v:
-                    if p not in labels:
-                        queue.append(p)
-                    if labels.setdefault(p, c) != c:
-                        return SatResult(SatStatus.UNSATISFIABLE)
-
-    vs = variables(f)
-    free = [v for v in vs if v not in labels]
-    if len(free) > SPLIT_FREE_MAX_FREE_VARS:
-        raise ResourceBoundError(
-            f"witness would need 2^{len(free)} rows; "
-            f"cap is 2^{SPLIT_FREE_MAX_FREE_VARS}"
-        )
-    rows = []
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        free_vals = dict(zip(free, bits))
-        rows.append(tuple(labels.get(v, free_vals.get(v)) for v in vs))
-
-    ev = TeamEvaluator(vs, rows, f, SemanticsMode.LAX)
-    mask = ev.max_model((1 << len(rows)) - 1)
-    if not mask:
-        return SatResult(SatStatus.UNSATISFIABLE)
-    return SatResult(SatStatus.SATISFIABLE, _team(vs, rows, mask))
+    return _fixpoint(f, SemanticsMode.LAX, None, None)

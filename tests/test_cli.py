@@ -266,6 +266,25 @@ class TestSat:
                            "--max-vars", "5")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
+    def test_bad_max_vars_is_usage_error(self, files, capsys, value):
+        f = files("f.tl", "x")
+        code = main(["sat", f, "--algo", "brute", "--max-vars", value])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "--max-vars" in captured.err
+
+    @pytest.mark.parametrize("algo", ["fixpoint", "splitfree"])
+    def test_unlabelled_row_space_past_the_cap_exit_three(self, files,
+                                                          capsys, algo):
+        # 21 variables and no literal: 2^21 rows, past the 2^20 cap
+        f = files("f.tl", " & ".join(f"inc(x{k}; x{k + 1})"
+                                     for k in range(20)))
+        code, report = run(capsys, "sat", f, "--algo", algo)
+        assert code == EXIT_RESOURCE
+        assert report is None
+
     def test_brute_budget_exit_four(self, files, capsys, monkeypatch):
         f = files("f.tl", "(a & !a) & (b | (c & d))")
         code, report = run(capsys, "sat", f, "--algo", "brute",

@@ -20,7 +20,7 @@ from teamlog import (
     variables,
 )
 from teamlog import sat, semantics, teams
-from teamlog.errors import RepairError
+from teamlog.errors import RepairError, ResourceBoundError
 from teamlog.sat import (
     SatResult,
     SatStatus,
@@ -375,6 +375,40 @@ class TestFixpoint:
         with pytest.raises(EngineNotApplicableError):
             sat_fixpoint(parse_formula("=(x; y)"), STRICT)
 
+    def test_labels_bound_the_row_space(self, monkeypatch):
+        # Sixteen pinned variables leave one row, not 2^16, in both modes.
+        sizes = []
+        init = TeamEvaluator.__init__
+
+        def counted(ev, domain, rows, *args):
+            init(ev, domain, rows, *args)
+            sizes.append(len(ev.rows))
+
+        monkeypatch.setattr(TeamEvaluator, "__init__", counted)
+        f = parse_formula(" & ".join(f"x{k}" for k in range(16))
+                          + " & inc(x0; x1)")
+        for mode in (STRICT, LAX):
+            sizes.clear()
+            r = sat_fixpoint(f, mode)
+            assert sizes == [1]
+            assert r.witness.rows == ((1,) * 16,)
+            assert_verified(r, f, mode)
+
+    def test_row_cap_comes_before_any_row(self, monkeypatch):
+        # A chain of inclusion atoms over 21 variables labels none of them.
+        def refuse(*args):
+            raise AssertionError("rows were built")
+
+        monkeypatch.setattr(TeamEvaluator, "__init__", refuse)
+        monkeypatch.setattr(sat, "_all_rows", refuse)
+        f = parse_formula(" & ".join(f"inc(x{k}; x{k + 1})" for k in range(20)))
+        assert len(variables(f)) == 21
+        for mode in (STRICT, LAX):
+            with pytest.raises(ResourceBoundError):
+                sat_fixpoint(f, mode, budget=0)
+        with pytest.raises(ResourceBoundError):
+            sat_split_free(f)
+
     def test_repair_log_bound(self):
         log = []
         f = parse_formula("(!y & inc(x; y)) | inc(y; x)")
@@ -430,7 +464,9 @@ class TestFixpoint:
                 logic=LogicKind.PINC, max_vars=2, max_nodes=9, seed=seed,
                 max_splits=2,
             ))
-            search = sat._FixpointSearch(f, STRICT, sat._Budget(0), None)
+            vs = variables(f)
+            ev = TeamEvaluator(vs, _all_rows(len(vs)), f, STRICT)
+            search = sat._FixpointSearch(ev, sat._Budget(0), None)
             seen = []
             monkeypatch.setattr(search, "_search",
                                 lambda state: seen.append(state) and None)
@@ -468,12 +504,20 @@ for seed in (501, 504):
                                        "satisfiable", "True"]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10 ** 9), st.sampled_from([STRICT, LAX]))
-    def test_matches_oracle(self, seed, mode):
+    @given(st.integers(0, 10 ** 9), st.sampled_from([STRICT, LAX]),
+           st.booleans())
+    def test_matches_oracle(self, seed, mode, labelled):
+        # Labelled: l1 & l2 & f over up to 4 variables, whose literals
+        # shrink the fixpoint's row space but not sat_brute's.
         f = random_formula(RandomFormulaConfig(
-            logic=LogicKind.PINC, max_vars=3, max_nodes=9, seed=seed,
-            max_splits=2,
+            logic=LogicKind.PINC, max_vars=4 if labelled else 3, max_nodes=9,
+            seed=seed, max_splits=2,
         ))
+        if labelled:
+            rng = random.Random(seed)
+            lits = [rng.choice(("", "!")) + f"x{rng.randint(1, 4)}"
+                    for _ in range(2)]
+            f = parse_formula(" & ".join(lits) + f" & ({render_formula(f)})")
         expected = sat_brute(f, mode)
         got = sat_fixpoint(f, mode)
         assert got.status is expected.status
