@@ -375,8 +375,13 @@ class TestFixpoint:
         with pytest.raises(EngineNotApplicableError):
             sat_fixpoint(parse_formula("=(x; y)"), STRICT)
 
-    def test_labels_bound_the_row_space(self, monkeypatch):
-        # Sixteen pinned variables leave one row, not 2^16, in both modes.
+    @pytest.mark.parametrize("text", [
+        " & ".join(f"x{k}" for k in range(16)) + " & inc(x0; x1)",
+        # one literal, carried down a chain of inclusion atoms
+        "x0 & " + " & ".join(f"inc(x{k + 1}; x{k})" for k in range(15)),
+    ], ids=["literals", "propagated"])
+    def test_labels_bound_the_row_space(self, monkeypatch, text):
+        # Sixteen labelled variables leave one row, not 2^16, in both modes.
         sizes = []
         init = TeamEvaluator.__init__
 
@@ -385,8 +390,7 @@ class TestFixpoint:
             sizes.append(len(ev.rows))
 
         monkeypatch.setattr(TeamEvaluator, "__init__", counted)
-        f = parse_formula(" & ".join(f"x{k}" for k in range(16))
-                          + " & inc(x0; x1)")
+        f = parse_formula(text)
         for mode in (STRICT, LAX):
             sizes.clear()
             r = sat_fixpoint(f, mode)
