@@ -17,6 +17,8 @@ workloads can share it: an existing file is updated, and only the entry
 of this workload is replaced.  Its header names the commits, the Python
 version, ``nproc`` and the ``PYTHONDONTWRITEBYTECODE`` value the runs
 inherit, which decides whether ``cli`` runs compile the package afresh.
+It also gives ``src_lines``: the lines of each ``src/**/*.py`` module of
+both commits, their totals, and the net change (see :func:`src_lines`).
 Each entry keeps every run's metrics and ``calibration_ms`` (the time of
 a fixed Python loop, which shows how loaded the machine was), and per
 metric the median and quartiles of each side plus the number of pairs
@@ -55,6 +57,15 @@ def _export(commit: str, dest: Path) -> None:
     with tarfile.open(archive) as tar:
         tar.extractall(dest)
     archive.unlink()
+
+
+def src_lines(tree: Path) -> dict:
+    """The lines of each ``src/**/*.py`` module under ``tree``, by path
+    relative to it, and their total."""
+    modules = {path.relative_to(tree).as_posix():
+               len(path.read_text(encoding="utf-8").splitlines())
+               for path in sorted((tree / "src").rglob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -175,6 +186,8 @@ def main(argv=None) -> int:
         for side in SIDES:
             trees[side] = Path(tmp) / side
             _export(commits[side], trees[side])
+        lines = {side: src_lines(trees[side]) for side in SIDES}
+        lines["net"] = lines["change"]["total"] - lines["parent"]["total"]
         pairs = _pairs(trees, args.workload, args.seeds, args.pairs,
                        args.seconds, 0)
         traced = _pairs(trees, args.workload, args.seeds, args.traced,
@@ -188,6 +201,7 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         # the runs inherit it: unset (null) lets them cache bytecode
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "src_lines": lines,
     })
     entry = {"seeds": args.seeds, "seconds": args.seconds,
              "summary": _summary(pairs, better, bounds), "pairs": pairs}

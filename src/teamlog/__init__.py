@@ -10,7 +10,6 @@ from .errors import (
     EnumerationCapError,
     FormulaSyntaxError,
     MixedAtomsError,
-    RepairError,
     ResourceBoundError,
     TeamFormatError,
     TeamlogError,
@@ -49,7 +48,6 @@ from .reductions import (
 from .sat import (
     SatResult,
     SatStatus,
-    repair_inclusion,
     sat_brute,
     sat_fixpoint,
     sat_singleton,
@@ -57,10 +55,6 @@ from .sat import (
 )
 from .semantics import (
     SemanticsMode,
-    eval_dep,
-    eval_inc,
-    eval_indep,
-    eval_literal,
     evaluate,
 )
 from .structure import (

@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="export the Gaifman graph")
     p.add_argument("formula")
     p.add_argument("team", nargs="?", default=None)
-    p.add_argument("--format", choices=["dot"], default="dot")
     common(p)
     p.set_defaults(func=_cmd_graph)
 

@@ -40,10 +40,3 @@ class ResourceBoundError(TeamlogError):
 class EngineNotApplicableError(TeamlogError):
     """A SAT engine was asked to handle a logic it does not support."""
 
-
-class RepairError(TeamlogError):
-    """The one-pass inclusion repair rule did not reach a satisfying team.
-
-    Only possible when the atom's tuples share variables; disjoint
-    tuples always repair in one pass.
-    """

@@ -29,7 +29,6 @@ class SatSetTable:
     is set iff the subteam with row bitmask ``m`` satisfies ``nodes[i]``.
     The sets of masks are decoded only when asked for."""
 
-    team: Team
     nodes: tuple[Formula, ...]
     bits: tuple[int, ...]
 
@@ -38,12 +37,6 @@ class SatSetTable:
         """``(node, satisfying row bitmasks)`` by position."""
         return tuple((n, frozenset(members(b)))
                      for n, b in zip(self.nodes, self.bits))
-
-    def masks_for(self, node: Formula) -> frozenset[int]:
-        for n, b in zip(self.nodes, self.bits):
-            if n is node:
-                return frozenset(members(b))
-        raise KeyError(f"node not in table: {node!r}")
 
 
 def _join(without: tuple[int, ...], left: int, right: int, strict: bool) -> int:
@@ -76,13 +69,11 @@ def _join(without: tuple[int, ...], left: int, right: int, strict: bool) -> int:
     return out
 
 
-def build_sat_table(team: Team, f: Formula, mode: SemanticsMode,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> SatSetTable:
+def build_sat_table(team: Team, f: Formula, mode: SemanticsMode) -> SatSetTable:
     """Leaf-to-root satisfying-subteam sets for every node of ``f``."""
-    if len(team) > cap:
-        raise EnumerationCapError(
-            f"team of size {len(team)} exceeds the enumeration cap {cap}"
-        )
+    if len(team) > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(f"team of size {len(team)} exceeds the "
+                                  f"enumeration cap {DEFAULT_ENUMERATION_CAP}")
     ev = TeamEvaluator(team.domain, team.rows, f, mode)
     without = lattice(len(team))[1]
     strict = mode is SemanticsMode.STRICT
@@ -96,22 +87,20 @@ def build_sat_table(team: Team, f: Formula, mode: SemanticsMode,
                             strict)
         else:
             bits[i] = ev.atom_bits(i)
-    return SatSetTable(team, tuple(ev.nodes), tuple(bits))
+    return SatSetTable(tuple(ev.nodes), tuple(bits))
 
 
-def mc_bottom_up(team: Team, f: Formula, mode: SemanticsMode,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+def mc_bottom_up(team: Team, f: Formula, mode: SemanticsMode) -> bool:
     """Model check by table construction; agrees with :func:`evaluate`."""
-    table = build_sat_table(team, f, mode, cap)
+    table = build_sat_table(team, f, mode)
     full = (1 << len(team)) - 1
     return table.bits[0] >> full & 1 == 1
 
 
-def mc(team: Team, f: Formula, mode: SemanticsMode, algo: str = "recursive",
-       cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+def mc(team: Team, f: Formula, mode: SemanticsMode, algo: str = "recursive") -> bool:
     """Dispatch between the recursive evaluator and the bottom-up table."""
     if algo == "recursive":
-        return evaluate(team, f, mode, cap)
+        return evaluate(team, f, mode)
     if algo == "bottomup":
-        return mc_bottom_up(team, f, mode, cap)
+        return mc_bottom_up(team, f, mode)
     raise ValueError(f"unknown model-checking algorithm {algo!r}")

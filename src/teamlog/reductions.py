@@ -39,6 +39,13 @@ __all__ = [
 ]
 
 
+def _array(value, kind: type) -> list:
+    """``value`` if it is a list of ``kind`` items, as JSON arrays load."""
+    if isinstance(value, list) and all(isinstance(v, kind) for v in value):
+        return value
+    raise TypeError(f"{value!r} is not an array of {kind.__name__} items")
+
+
 @dataclass(frozen=True)
 class SetSplittingInstance:
     """A family of subsets of a finite base set."""
@@ -57,9 +64,12 @@ class SetSplittingInstance:
 
     @classmethod
     def from_object(cls, obj: Mapping) -> "SetSplittingInstance":
+        """Inverse of :meth:`to_object`: ``elements`` and each of the
+        ``sets`` must be arrays of strings, as a string is no set."""
         try:
-            return cls(tuple(obj["elements"]),
-                       tuple(frozenset(block) for block in obj["sets"]))
+            return cls(tuple(_array(obj["elements"], str)),
+                       tuple(frozenset(_array(block, str))
+                             for block in _array(obj["sets"], list)))
         except (KeyError, TypeError) as exc:
             raise TeamlogError(f"bad set-splitting object: {exc!r}") from exc
 
@@ -154,7 +164,6 @@ class RandomFormulaConfig:
     seed: int = 0
     max_splits: Optional[int] = None
     split_free: bool = False
-    allow_constants: bool = True
 
 
 def random_formula(cfg: RandomFormulaConfig) -> Formula:
@@ -170,9 +179,7 @@ def random_formula(cfg: RandomFormulaConfig) -> Formula:
         return tuple(rng.choice(names) for _ in range(length))
 
     def atom() -> Formula:
-        choices = ["lit", "lit"]
-        if cfg.allow_constants:
-            choices.append("const")
+        choices = ["lit", "lit", "const"]
         if cfg.logic is not LogicKind.PL:
             choices.extend(["dep", "dep"])
         pick = rng.choice(choices)

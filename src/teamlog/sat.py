@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import EngineNotApplicableError, RepairError, ResourceBoundError
+from .errors import EngineNotApplicableError, ResourceBoundError
 from .formulas import (
     And,
     Bot,
@@ -44,7 +44,7 @@ from .formulas import (
 )
 from .modelcheck import build_sat_table
 from .semantics import (DEFAULT_ENUMERATION_CAP, SemanticsMode, TeamEvaluator,
-                        _bits, eval_inc, lattice, members)
+                        _bits, lattice, members)
 from .teams import Team
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "SatResult",
     "sat_brute",
     "sat_singleton",
-    "repair_inclusion",
     "sat_fixpoint",
     "sat_split_free",
     "DEFAULT_FIXPOINT_BUDGET",
@@ -209,27 +208,6 @@ def _mirrored(row: tuple, pairs) -> tuple:
     return tuple(t)
 
 
-def repair_inclusion(team: Team, atom: Inc) -> Team:
-    """Extend ``team`` to satisfy ``atom`` by mirroring each row's
-    x-value into the y-positions; at most one row is added per input
-    row, so the result never exceeds twice the input size.
-
-    Raises :class:`RepairError` when the one-pass rule fails, which can
-    only happen if the atom's tuples share variables.
-    """
-    if eval_inc(team, atom.xs, atom.ys):
-        return team
-    pairs = [(team.index(x), team.index(y)) for x, y in zip(atom.xs, atom.ys)]
-    rows = set(team.rows) | {_mirrored(row, pairs) for row in team.rows}
-    repaired = Team(team.domain, tuple(rows))
-    if not eval_inc(repaired, atom.xs, atom.ys):
-        raise RepairError(
-            f"one-pass repair failed for inc atom with overlapping tuples "
-            f"{atom.xs} / {atom.ys}"
-        )
-    return repaired
-
-
 # ---------------------------------------------------------------------------
 # Determinized fixpoint search for PINC
 
@@ -322,7 +300,9 @@ class _FixpointSearch:
             if not self.ev.check_at(i, rows):
                 raise _Reject
             return rows
-        # One pass of the mirror rule, as in :func:`repair_inclusion`.
+        # One pass of the mirror rule: each row joins its mirror, the row
+        # with its x-value copied into the y-positions.  That satisfies the
+        # atom unless its tuples share variables, hence the re-check.
         repaired = rows
         if not self.ev.check_at(i, rows):
             mirror = self._mirror(i)

@@ -28,10 +28,6 @@ from .teams import Team
 __all__ = [
     "SemanticsMode",
     "DEFAULT_ENUMERATION_CAP",
-    "eval_literal",
-    "eval_dep",
-    "eval_inc",
-    "eval_indep",
     "eval_atom",
     "evaluate",
 ]
@@ -58,26 +54,6 @@ def eval_atom(team: Team, atom: Formula) -> bool:
         raise TypeError(f"not an atomic formula: {atom!r}")
     ev = TeamEvaluator(team.domain, team.rows, atom, SemanticsMode.STRICT)
     return ev.check_at(0, (1 << len(team.rows)) - 1)
-
-
-def eval_literal(team: Team, var: str, positive: bool = True) -> bool:
-    """True iff every row maps ``var`` to 1 (positive) / 0 (negative)."""
-    return eval_atom(team, VarRef(var) if positive else Not(VarRef(var)))
-
-
-def eval_dep(team: Team, xs, ys) -> bool:
-    """True iff all row pairs agreeing on ``xs`` agree on ``ys``."""
-    return eval_atom(team, Dep(tuple(xs), tuple(ys)))
-
-
-def eval_inc(team: Team, xs, ys) -> bool:
-    """True iff every row's ``xs``-value occurs as some row's ``ys``-value."""
-    return eval_atom(team, Inc(tuple(xs), tuple(ys)))
-
-
-def eval_indep(team: Team, xs, ys, zs) -> bool:
-    """True iff rows agreeing on ``zs`` recombine freely on ``xs`` vs ``ys``."""
-    return eval_atom(team, Indep(tuple(xs), tuple(ys), tuple(zs)))
 
 
 def _bits(mask: int) -> list[int]:
@@ -251,11 +227,6 @@ class TeamEvaluator:
             bad |= (full ^ avoid[a]) & (full ^ avoid[b]) & avoid[c]
         return full ^ bad
 
-    def atom_table(self, node: Formula) -> frozenset[int]:
-        """:meth:`atom_bits` of the first position that holds ``node``, as
-        the set of satisfying row bitmasks."""
-        return frozenset(members(self.atom_bits(self._position(node))))
-
     def _conjuncts_at(self, i: int) -> list[int]:
         """:func:`conjuncts` of the node at position ``i``, found once."""
         conj = self._conjuncts[i]
@@ -330,16 +301,6 @@ class TeamEvaluator:
                 stack.pop()
             else:
                 return mask
-
-    def check(self, node: Formula, mask: int) -> bool:
-        """:meth:`check_at` the first position that holds ``node``."""
-        return self.check_at(self._position(node), mask)
-
-    def _position(self, node: Formula) -> int:
-        for i, g in enumerate(self.nodes):
-            if g is node:
-                return i
-        raise KeyError(f"not a node of the formula: {node!r}")
 
     def check_at(self, i: int, mask: int) -> bool:
         """Whether the subteam ``mask`` satisfies the node at position ``i``."""

@@ -454,12 +454,12 @@ def _atom_arity(atom: Formula) -> int:
     return len(atom_variables(atom))
 
 
-def parameters(f: Formula, team: Optional[Team] = None, exact_tw: bool = False,
-               method: str = "min_fill", exact_cap: int = 16) -> ParameterReport:
+def parameters(f: Formula, team: Optional[Team] = None,
+               exact_tw: bool = False) -> ParameterReport:
     """Extract all parameterisations of an instance.
 
-    Treewidths come from the elimination heuristic unless ``exact_tw``
-    is set; when the exact computation would exceed ``exact_cap``
+    Treewidths come from the min-fill heuristic unless ``exact_tw`` is
+    set; when the exact computation would exceed its default of 16
     vertices it silently falls back to the heuristic bound, with the
     ``*_exact`` flags recording which one was used.
     """
@@ -468,11 +468,11 @@ def parameters(f: Formula, team: Optional[Team] = None, exact_tw: bool = False,
     def tw(graph: GaifmanGraph) -> tuple[int, bool]:
         if exact_tw:
             try:
-                width, _ = treewidth_exact(graph, max_vertices=exact_cap)
+                width, _ = treewidth_exact(graph)
                 return width, True
             except ResourceBoundError:
                 pass
-        width, _ = treewidth_upper(graph, method=method)
+        width, _ = treewidth_upper(graph)
         return width, False
 
     graph = build_gaifman(f)
@@ -486,7 +486,7 @@ def parameters(f: Formula, team: Optional[Team] = None, exact_tw: bool = False,
         "arity": arity,
         "formula_tw": ftw,
         "formula_tw_exact": ftw_exact,
-        "formula_tw_method": "exact" if ftw_exact else method,
+        "formula_tw_method": "exact" if ftw_exact else "min_fill",
     }
     if team is not None:
         _add_team(graph, fvars, team)

@@ -26,6 +26,8 @@ class Team:
     rows: tuple[Row, ...]
 
     def __post_init__(self):
+        if len(set(self.domain)) != len(self.domain):
+            raise TeamFormatError(f"duplicate variable name in {self.domain}")
         seen = set()
         for row in self.rows:
             if len(row) != len(self.domain):
@@ -91,8 +93,6 @@ def parse_team(text: str) -> Team:
     if not lines:
         raise TeamFormatError("team text is empty; expected a header line")
     domain = tuple(lines[0].split())
-    if len(set(domain)) != len(domain):
-        raise TeamFormatError("duplicate variable name in team header")
     rows = []
     for ln in lines[1:]:
         if len(ln) != len(domain):

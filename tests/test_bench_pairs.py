@@ -60,3 +60,19 @@ def test_summary_labels_only_end_to_end_metrics():
     out = bench_pairs._summary(pairs, better, {"verdict_ms_p50": 0.25})
     assert out["verdict_ms_p50"]["verdict"] == "not worse"
     assert "verdict" not in out["sat.brute.calls"]
+
+
+def test_src_lines_counts_each_module(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "sub" / "b.py").write_text("z = 3\n\n# last line without newline")
+    (pkg / "notes.txt").write_text("not a module\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("outside src\n")
+    assert bench_pairs.src_lines(tmp_path) == {
+        "modules": {"src/pkg/__init__.py": 0, "src/pkg/a.py": 2,
+                    "src/pkg/sub/b.py": 3},
+        "total": 5,
+    }

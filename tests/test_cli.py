@@ -347,6 +347,12 @@ class TestGraphAndDecomp:
         assert out.startswith("graph gaifman {")
         assert out.count("[label=") == 10
 
+    def test_graph_has_no_format_option(self, files, capsys):
+        # DOT is the only output; the former one-choice flag is gone
+        f = files("f.tl", EXAMPLE_FORMULA_TEXT)
+        assert main(["graph", f, "--format", "dot"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_decomp_validates_shape(self, files, capsys):
         f = files("f.tl", EXAMPLE_FORMULA_TEXT)
         for method in ("min_fill", "min_degree", "exact"):
@@ -405,6 +411,23 @@ class TestGenAndTranslate:
                       "--formula-out", str(tmp_path / "f"),
                       "--team-out", str(tmp_path / "t"))
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("spec", [
+        {"elements": ["a", "b"], "sets": ["ab"]},
+        {"elements": "ab", "sets": [["a", "b"]]},
+        {"elements": ["a", "b"], "sets": "ab"},
+        {"elements": ["a", "b"], "sets": {}},
+        {"elements": ["a", "b"], "sets": [["a", 1]]},
+    ])
+    def test_strings_are_not_arrays_exit_two(self, files, capsys, tmp_path,
+                                             spec):
+        # a JSON string is no list of names, not even of its characters
+        out = tmp_path / "f"
+        code, _ = run(capsys, "gen-setsplit", files("s.json", json.dumps(spec)),
+                      "--formula-out", str(out),
+                      "--team-out", str(tmp_path / "t"))
+        assert code == EXIT_USAGE
+        assert not out.exists()
 
     def test_translate(self, files, capsys):
         f = files("f.tl", "=(x; y)")

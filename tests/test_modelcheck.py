@@ -29,8 +29,8 @@ from teamlog.reductions import (
     random_formula,
     setsplit_to_pinc_mc,
 )
-from teamlog.semantics import SemanticsMode
-from teamlog.formulas import subformulas
+from teamlog.semantics import SemanticsMode, members
+from teamlog.formulas import node_array, subformulas
 
 from conftest import all_teams, random_team, reference_atom
 
@@ -80,16 +80,17 @@ class TestBottomUp:
                      for i in range(17))
         t = Team(("a", "b", "c", "d", "e"), rows)
         with pytest.raises(EnumerationCapError):
-            mc_bottom_up(t, parse_formula("a | b"), STRICT, cap=16)
+            mc_bottom_up(t, parse_formula("a | b"), STRICT)
 
     def test_conjunction_table_is_subset_of_children(self, example_team,
                                                      example_formula):
         table = build_sat_table(example_team, example_formula, STRICT)
-        for node in subformulas(example_formula):
+        kids = node_array(example_formula)[1]
+        for i, node in enumerate(table.nodes):
             if isinstance(node, And):
-                masks = table.masks_for(node)
-                assert masks <= table.masks_for(node.left)
-                assert masks <= table.masks_for(node.right)
+                masks = set(members(table.bits[i]))
+                assert masks <= set(members(table.bits[kids[i][0]]))
+                assert masks <= set(members(table.bits[kids[i][1]]))
 
     def test_table_covers_every_node(self, example_team, example_formula):
         table = build_sat_table(example_team, example_formula, LAX)
@@ -121,8 +122,8 @@ class TestBottomUp:
         full = (1 << len(t)) - 1
         strict_table = build_sat_table(t, f, STRICT)
         lax_table = build_sat_table(t, f, LAX)
-        assert full not in strict_table.masks_for(f)
-        assert full in lax_table.masks_for(f)
+        assert full not in members(strict_table.bits[0])
+        assert full in members(lax_table.bits[0])
 
 
 class TestTableOracle:
@@ -184,7 +185,7 @@ class TestLargeTableOracle:
         for node, masks in table.entries:
             assert masks == ref[id(node)], (node, t.rows)
         if text == "T | T":
-            assert len(table.masks_for(f)) == 1 << size
+            assert len(members(table.bits[0])) == 1 << size
 
     def test_mc_does_not_decode(self, example_team, example_formula,
                                 monkeypatch):

@@ -20,18 +20,17 @@ from teamlog import (
     variables,
 )
 from teamlog import sat, semantics, teams
-from teamlog.errors import RepairError, ResourceBoundError
+from teamlog.errors import ResourceBoundError
 from teamlog.sat import (
     SatResult,
     SatStatus,
     _all_rows,
-    repair_inclusion,
     sat_brute,
     sat_fixpoint,
     sat_singleton,
     sat_split_free,
 )
-from teamlog.semantics import SemanticsMode, TeamEvaluator, eval_inc
+from teamlog.semantics import SemanticsMode, TeamEvaluator, members
 from teamlog.reductions import RandomFormulaConfig, random_formula
 
 from conftest import child_env, reference_brute, reference_singleton
@@ -257,53 +256,6 @@ class TestSingleton:
         assert r.witness.rows == ((1,) + (0,) * 12,)
 
 
-class TestRepairInclusion:
-    def test_adds_mirror_row(self):
-        t = Team(("x", "y"), ((1, 0),))
-        atom = Inc(("x",), ("y",))
-        r = repair_inclusion(t, atom)
-        assert (1, 1) in r
-        assert eval_inc(r, atom.xs, atom.ys)
-
-    def test_identity_when_satisfied(self):
-        t = Team(("x", "y"), ((1, 1),))
-        assert repair_inclusion(t, Inc(("x",), ("y",))) is t
-
-    def test_size_bound(self):
-        rows = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
-        t = Team(("a", "b", "c"), rows)
-        atom = Inc(("a", "b"), ("b", "c"))
-        try:
-            r = repair_inclusion(t, atom)
-        except RepairError:
-            return  # overlapping tuples may be unrepairable in one pass
-        assert len(r) <= 2 * len(t)
-        assert eval_inc(r, atom.xs, atom.ys)
-
-    def test_overlapping_tuples_may_fail(self):
-        # one pass of the mirror rule cannot close the chain
-        # (a,b) -> (b,c) started from a single row
-        t = Team(("a", "b", "c"), ((1, 0, 0),))
-        with pytest.raises(RepairError):
-            repair_inclusion(t, Inc(("a", "b"), ("b", "c")))
-
-    def test_disjoint_tuples_never_fail(self):
-        import itertools
-        import random
-
-        rng = random.Random(5)
-        domain = ("a", "b", "c", "d")
-        atom = Inc(("a", "b"), ("c", "d"))
-        for _ in range(50):
-            k = rng.randint(1, 5)
-            rows = rng.sample(list(itertools.product((0, 1), repeat=4)), k)
-            t = Team(domain, tuple(rows))
-            r = repair_inclusion(t, atom)
-            assert eval_inc(r, atom.xs, atom.ys)
-            assert len(r) <= 2 * len(t)
-            assert set(t.rows) <= set(r.rows)
-
-
 class TestFixpoint:
     @pytest.mark.parametrize("text,expected", [
         ("!y & inc(x; y)", SAT),
@@ -420,6 +372,31 @@ class TestFixpoint:
         assert log, "expected at least one inclusion repair"
         for before, after in log:
             assert after <= 2 * before
+
+    def test_mirror_repair_is_one_pass(self):
+        # The search's inclusion repair adds to each row its mirror, the
+        # row with the x-value copied into the y-positions, and rejects
+        # the state if the atom still fails.  Rows are binary numbers.
+        def repair(text, rows):
+            f = parse_formula(text)
+            vs = variables(f)
+            ev = TeamEvaluator(vs, _all_rows(len(vs)), f, STRICT)
+            search = sat._FixpointSearch(ev, sat._Budget(0), None)
+            return ev, search._repair_atom(0, sum(1 << r for r in rows))
+
+        assert repair("inc(x; y)", [0b10])[1] == 1 << 0b10 | 1 << 0b11
+        assert repair("inc(x; y)", [0b11])[1] == 1 << 0b11
+        # overlapping tuples: 100 gains 110, whose x-value 11 is no y-value
+        with pytest.raises(sat._Reject):
+            repair("inc(a, b; b, c)", [0b100])
+        # disjoint tuples always repair, to at most twice the rows
+        rng = random.Random(5)
+        for _ in range(50):
+            rows = rng.sample(range(16), rng.randint(1, 5))
+            ev, got = repair("inc(a, b; c, d)", rows)
+            assert ev.check_at(0, got)
+            assert set(rows) <= set(members(got))
+            assert got.bit_count() <= 2 * len(rows)
 
     def test_builds_only_the_witness_team(self, monkeypatch):
         built = []

@@ -23,15 +23,7 @@ from teamlog import (
     evaluate,
     parse_formula,
 )
-from teamlog.semantics import (
-    SemanticsMode,
-    TeamEvaluator,
-    eval_atom,
-    eval_dep,
-    eval_inc,
-    eval_indep,
-    eval_literal,
-)
+from teamlog.semantics import SemanticsMode, TeamEvaluator, eval_atom, members
 from teamlog.errors import ArityMismatchError
 from teamlog.reductions import RandomFormulaConfig, random_formula
 
@@ -49,73 +41,73 @@ def T(domain, *rows):
 class TestLiterals:
     def test_empty_team_vacuously_true(self):
         t = T(("x",))
-        assert eval_literal(t, "x", positive=True)
-        assert eval_literal(t, "x", positive=False)
+        assert eval_atom(t, VarRef("x"))
+        assert eval_atom(t, Not(VarRef("x")))
 
     def test_example_team_columns(self, example_team):
-        assert eval_literal(example_team, "x3", positive=True)
-        assert not eval_literal(example_team, "x1", positive=True)
-        assert not eval_literal(example_team, "x1", positive=False)
+        assert eval_atom(example_team, VarRef("x3"))
+        assert not eval_atom(example_team, VarRef("x1"))
+        assert not eval_atom(example_team, Not(VarRef("x1")))
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariableError):
-            eval_literal(T(("x",), (1,)), "y")
+            eval_atom(T(("x",), (1,)), VarRef("y"))
 
 
 class TestDep:
     def test_singleton_always_true(self):
         t = T("xy", (1, 0))
-        assert eval_dep(t, ("x",), ("y",))
-        assert eval_dep(t, (), ("x", "y"))
+        assert eval_atom(t, Dep(("x",), ("y",)))
+        assert eval_atom(t, Dep((), ("x", "y")))
 
     def test_violating_pair(self):
         t = T("xy", (0, 0), (0, 1))
-        assert not eval_dep(t, ("x",), ("y",))
+        assert not eval_atom(t, Dep(("x",), ("y",)))
 
     def test_functional_pair(self):
         t = T("xy", (0, 0), (1, 1))
-        assert eval_dep(t, ("x",), ("y",))
+        assert eval_atom(t, Dep(("x",), ("y",)))
 
     def test_empty_xs_is_constancy(self):
-        assert eval_dep(T("xy", (0, 0), (1, 0)), (), ("y",))
-        assert not eval_dep(T("xy", (0, 0), (0, 1)), (), ("y",))
+        assert eval_atom(T("xy", (0, 0), (1, 0)), Dep((), ("y",)))
+        assert not eval_atom(T("xy", (0, 0), (0, 1)), Dep((), ("y",)))
 
 
 class TestInc:
     def test_empty_team_true(self):
-        assert eval_inc(T("xy"), ("x",), ("y",))
+        assert eval_atom(T("xy"), Inc(("x",), ("y",)))
 
     def test_cross_witnesses(self):
         t = T("xy", (0, 1), (1, 0))
-        assert eval_inc(t, ("x",), ("y",))
+        assert eval_atom(t, Inc(("x",), ("y",)))
 
     def test_singleton_agreeing_row(self):
-        assert eval_inc(T("xy", (1, 1)), ("x",), ("y",))
-        assert not eval_inc(T("xy", (1, 0)), ("x",), ("y",))
+        assert eval_atom(T("xy", (1, 1)), Inc(("x",), ("y",)))
+        assert not eval_atom(T("xy", (1, 0)), Inc(("x",), ("y",)))
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatchError):
-            eval_inc(T("xy", (0, 0)), ("x", "y"), ("x",))
+            eval_atom(T("xy", (0, 0)), Inc(("x", "y"), ("x",)))
 
 
 class TestIndep:
     def test_singleton_trivially_true(self):
         t = T("xy", (1, 0))
-        assert eval_indep(t, ("x",), ("y",), ())
-        assert eval_indep(t, ("x",), ("y",), ("x",))
+        assert eval_atom(t, Indep(("x",), ("y",), ()))
+        assert eval_atom(t, Indep(("x",), ("y",), ("x",)))
 
     def test_full_square_true(self):
         t = T("xy", (0, 0), (0, 1), (1, 0), (1, 1))
-        assert eval_indep(t, ("x",), ("y",), ())
+        assert eval_atom(t, Indep(("x",), ("y",), ()))
 
     def test_diagonal_false(self):
         t = T("xy", (0, 0), (1, 1))
-        assert not eval_indep(t, ("x",), ("y",), ())
+        assert not eval_atom(t, Indep(("x",), ("y",), ()))
 
     def test_conditioning_restores_truth(self):
         # rows agree on z only within the pairs that already combine
         t = T("xyz", (0, 0, 0), (1, 1, 1))
-        assert eval_indep(t, ("x",), ("y",), ("z",))
+        assert eval_atom(t, Indep(("x",), ("y",), ("z",)))
 
 
 def random_atom(rng: random.Random, domain):
@@ -156,10 +148,10 @@ class TestAtomKernel:
             size = rng.randint(0, 8)
             t = random_team(rng, domain, max_rows=size, min_rows=size)
             ev = TeamEvaluator(t.domain, t.rows, atom, STRICT)
-            table = ev.atom_table(atom)
+            table = set(members(ev.atom_bits(0)))
             for m in range(1 << len(t)):
                 expected = reference_atom(t.subteam_mask(m), atom)
-                assert ev.check(atom, m) is expected, (atom, t.rows, m)
+                assert ev.check_at(0, m) is expected, (atom, t.rows, m)
                 assert (m in table) is expected, (atom, t.rows, m)
                 checked += 1
             assert eval_atom(t, atom) is reference_atom(t, atom), (atom, t.rows)
@@ -184,10 +176,10 @@ class TestAtomKernel:
             for size in range(5):
                 t = random_team(rng, ("a", "b"), max_rows=size, min_rows=size)
                 ev = TeamEvaluator(t.domain, t.rows, atom, STRICT)
-                table = ev.atom_table(atom)
+                table = set(members(ev.atom_bits(0)))
                 for m in range(1 << len(t)):
                     expected = reference_atom(t.subteam_mask(m), atom)
-                    assert ev.check(atom, m) is expected, (atom, t.rows, m)
+                    assert ev.check_at(0, m) is expected, (atom, t.rows, m)
                     assert (m in table) is expected, (atom, t.rows, m)
 
     def test_at_most_one_row_needs_no_dependence_constraint(self):
@@ -235,8 +227,8 @@ def test_atom_compiles_once_per_evaluator(monkeypatch):
     assert len(compiled) == 3
     for i, g in enumerate(ev.nodes):
         if type(g) in (VarRef, Dep):
-            assert ev.atom_table(g) == frozenset(
-                m for m in range(4) if ev.check_at(i, m))
+            assert members(ev.atom_bits(i)) == [
+                m for m in range(4) if ev.check_at(i, m)]
     assert len(compiled) == 3
 
 

@@ -479,13 +479,15 @@ class TestParameters:
         assert "teamsize" not in d
         assert "formula_team_tw" not in d
 
-    def test_exact_cap_falls_back_to_heuristic(self, example_formula,
-                                               example_team):
-        report = parameters(example_formula, example_team, exact_tw=True,
-                            exact_cap=10)
-        d = report.to_dict()
-        assert d["formula_tw_exact"] is True  # 10 vertices fits
-        assert d["formula_team_tw_exact"] is False  # 12 does not
+    def test_exact_cap_falls_back_to_heuristic(self, example_formula):
+        # exact treewidth takes at most 16 vertices; each row adds one
+        team = Team(("x1", "x2", "x3", "x4"),
+                    tuple((i >> 2 & 1, i >> 1 & 1, i & 1, 0) for i in range(7)))
+        assert len(build_gaifman(example_formula)) <= 16
+        assert len(build_gaifman(example_formula, team)) > 16
+        d = parameters(example_formula, team, exact_tw=True).to_dict()
+        assert d["formula_tw_exact"] is True
+        assert d["formula_team_tw_exact"] is False
 
     def test_team_rows_extend_the_formula_graph(self, monkeypatch):
         # parameters builds the formula graph once and adds the team rows

@@ -22,6 +22,13 @@ class TestConstruction:
         with pytest.raises(TeamFormatError, match="duplicate"):
             Team(("x", "y"), ((0, 1), (0, 1)))
 
+    def test_duplicate_variable_rejected(self):
+        # a repeated name would hide every column of it but the last
+        with pytest.raises(TeamFormatError, match="duplicate"):
+            Team(("x", "x"), ((0, 1),))
+        with pytest.raises(TeamFormatError, match="duplicate"):
+            Team(("x", "y", "x"), ())
+
     def test_arity_mismatch_rejected(self):
         with pytest.raises(TeamFormatError):
             Team(("x", "y"), ((0, 1, 1),))
@@ -96,6 +103,10 @@ class TestTextFormat:
     def test_structured_bad_object(self):
         with pytest.raises(TeamFormatError):
             team_from_object({"vars": ["x"]})
+
+    def test_structured_duplicate_variable_rejected(self):
+        with pytest.raises(TeamFormatError, match="duplicate"):
+            team_from_object({"vars": ["x", "x"], "rows": [[0, 1]]})
 
 
 class TestProperties:
