@@ -64,8 +64,8 @@ class SetSplittingInstance:
 
     @classmethod
     def from_object(cls, obj: Mapping) -> "SetSplittingInstance":
-        """Inverse of :meth:`to_object`: ``elements`` and each of the
-        ``sets`` must be arrays of strings, as a string is no set."""
+        """Inverse of :meth:`to_object`.  ``elements`` and each block of
+        ``sets`` must be arrays of strings, never a string's characters."""
         try:
             return cls(tuple(_array(obj["elements"], str)),
                        tuple(frozenset(_array(block, str))
