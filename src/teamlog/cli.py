@@ -43,7 +43,7 @@ from .structure import (
     treewidth_exact,
     treewidth_upper,
 )
-from .teams import Team, parse_team, render_team, team_to_object
+from .teams import parse_team, render_team, team_to_object
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1

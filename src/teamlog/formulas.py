@@ -12,7 +12,7 @@ import enum
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import ArityMismatchError, FormulaSyntaxError, MixedAtomsError
 

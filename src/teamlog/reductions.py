@@ -27,7 +27,7 @@ from .formulas import (
     formula_size,
     node_array,
 )
-from .teams import Team
+from .teams import Team, _array
 
 __all__ = [
     "SetSplittingInstance",
@@ -37,13 +37,6 @@ __all__ = [
     "random_formula",
     "RandomFormulaConfig",
 ]
-
-
-def _array(value, kind: type) -> list:
-    """``value`` if it is a list of ``kind`` items, as JSON arrays load."""
-    if isinstance(value, list) and all(isinstance(v, kind) for v in value):
-        return value
-    raise TypeError(f"{value!r} is not an array of {kind.__name__} items")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ Four routes with very different scaling behaviour:
   the assignments that agree with the literal labels of the top-level
   conjuncts as inclusion atoms propagate them, and take the largest lax
   model in it.  That decides lax mode, split-free input, and strict mode
-  when it is empty.  Otherwise strict :func:`sat_fixpoint` runs a
-  determinized backtracking search over the choice points of a
+  when it is empty.  Otherwise strict :func:`sat_fixpoint` runs, inside
+  it, a determinized backtracking search over the choice points of a
   nondeterministic fixpoint construction: guess small initial subteams
   per atom, then alternate bottom-up repair/union rounds with top-down
   copy/distribution rounds until the per-node teams stop growing.
@@ -215,37 +215,47 @@ class _Reject(Exception):
     pass
 
 
-def _walk_guesses(ycls: list, count: int):
-    """Yield the row masks with at most one row of each class ``ycls[r]``,
+def _walk_guesses(ycls, rows: list):
+    """Yield the masks of at most one of ``rows`` per class ``ycls[r]``,
     by size, then by ascending row list: each size is a depth first walk
-    over the rows in order, whose last level yields its rows in turn."""
+    over ``rows`` in order, whose last level yields its rows in turn."""
+    cls = [ycls[r] for r in rows]
     yield 0
-    for size in range(1, count + 1):
+    for size in range(1, len(set(cls)) + 1):
         stack = [(0, 0, ())]  # the next row to try, the rows picked, classes
         while stack:
-            r, mask, used = stack.pop()
+            j, mask, used = stack.pop()
             if len(used) + 1 == size:
-                for j in range(r, len(ycls)):
-                    if ycls[j] not in used:
-                        yield mask | 1 << j
+                for k in range(j, len(rows)):
+                    if cls[k] not in used:
+                        yield mask | 1 << rows[k]
             else:
-                stack += [(j + 1, mask | 1 << j, used + (ycls[j],))
-                          for j in range(len(ycls) - 1, r - 1, -1)
-                          if ycls[j] not in used]
+                stack += [(k + 1, mask | 1 << rows[k], used + (cls[k],))
+                          for k in range(len(rows) - 1, j - 1, -1)
+                          if cls[k] not in used]
 
 
 class _FixpointSearch:
     """The strict-mode search.  States hold a row bitmask over the rows of
     ``ev`` per position of its node array; a negated literal is one atom,
     so the variable position after a negation stays empty.  Splits route
-    each row one way only."""
+    each row one way only.  Each node's rows stay in its bound: ``top`` at
+    the root, the parent's bound below a conjunction, and below a split
+    the child's largest lax model in the split's bound, which holds every
+    strict labelling.  Rows only accumulate and reach the root, so a state
+    that leaves a bound is dead, and a fixpoint is a strict labelling."""
 
-    def __init__(self, ev: TeamEvaluator, budget: _Budget,
-                 repair_log: Optional[list]):
-        self.budget = budget
+    def __init__(self, ev: TeamEvaluator, budget: int,
+                 repair_log: Optional[list], top: int):
+        self.budget = _Budget(budget)
         self.repair_log = repair_log
         self.ev = ev
         nodes, kids = ev.nodes, ev.kids
+        self.bound = [top] * len(nodes)
+        for i, t in enumerate(map(type, nodes)):
+            for k in kids[i] if t is And or t is Or else ():
+                self.bound[k] = (self.bound[i] if t is And else
+                                 ev.max_model(self.bound[i], budget, k))
         self.live = [i for i in range(len(nodes))
                      if not (i and type(nodes[i - 1]) is Not)]
         self.atoms = [i for i in self.live if len(kids[i]) < 2]
@@ -261,60 +271,50 @@ class _FixpointSearch:
         their number."""
         found = self._guesses.get(i)
         if found is None:
-            ev = self.ev
-            atom = ev.nodes[i]
+            atom, rows = self.ev.nodes[i], members(self.bound[i])
             if not isinstance(atom, Inc):
-                # The empty team or one row that satisfies the literal.
-                found = [0] + [1 << r for r in range(len(ev.rows))
-                               if ev.check_at(i, 1 << r)]
+                # The empty team or one row of the bound.
+                found = [0] + [1 << r for r in rows]
             else:
                 # At most one row per y-value class: the bounded guesses the
                 # correctness argument needs (at most 2^arity rows).
-                classes = ev.value_masks(atom.ys).values()
-                ycls = [0] * len(ev.rows)
-                for k, ymask in enumerate(classes):
-                    for r in members(ymask):
-                        ycls[r] = k
-                found = (ycls, len(classes))
+                classes = self.ev.value_masks(atom.ys).values()
+                found = ({r: k for k, ymask in enumerate(classes)
+                          for r in members(ymask)}, rows)
             self._guesses[i] = found
         return iter(found) if type(found) is list else _walk_guesses(*found)
 
     # -- rounds -------------------------------------------------------------
 
-    def _mirror(self, i: int) -> list[Optional[int]]:
+    def _mirror(self, i: int) -> list[int]:
         """Per row, the index of the row with the x-value of the inclusion
-        atom at position ``i`` copied into the y-positions, or None if that
-        row lies outside the row space."""
+        atom at position ``i`` copied into the y-positions; one past the
+        last row, in no bound, if that row lies outside the row space."""
         mirror = self._mirrors.get(i)
         if mirror is None:
             atom, index = self.ev.nodes[i], self.ev._index
             pairs = [(index[x], index[y]) for x, y in zip(atom.xs, atom.ys)]
             position = {row: k for k, row in enumerate(self.ev.rows)}
-            mirror = [position.get(_mirrored(row, pairs))
+            mirror = [position.get(_mirrored(row, pairs), len(position))
                       for row in self.ev.rows]
             self._mirrors[i] = mirror
         return mirror
 
     def _repair_atom(self, i: int, rows: int) -> int:
-        if not isinstance(self.ev.nodes[i], Inc):
-            if not self.ev.check_at(i, rows):
-                raise _Reject
-            return rows
-        # One pass of the mirror rule: each row joins its mirror, the row
-        # with its x-value copied into the y-positions.  That satisfies the
-        # atom unless its tuples share variables, hence the re-check.
+        # One pass of the mirror rule: each row of an inclusion atom joins
+        # its mirror, the row with its x-value copied into the y-positions.
+        # That satisfies the atom unless its tuples share variables, hence
+        # the re-check.  A literal holds on every subset of its bound.
+        inc = isinstance(self.ev.nodes[i], Inc)
         repaired = rows
-        if not self.ev.check_at(i, rows):
+        if inc and not self.ev.check_at(i, rows):
             mirror = self._mirror(i)
             for r in _bits(rows):
-                # Rows only accumulate and reach the root, and every model
-                # lies in the row space: a row outside it is a dead state.
-                if mirror[r] is None:
-                    raise _Reject
                 repaired |= 1 << mirror[r]
-            if not self.ev.check_at(i, repaired):
-                raise _Reject
-        if self.repair_log is not None:
+        if repaired & ~self.bound[i] or (
+                inc and not self.ev.check_at(i, repaired)):
+            raise _Reject
+        if inc and self.repair_log is not None:
             self.repair_log.append((rows.bit_count(), repaired.bit_count()))
         return repaired
 
@@ -400,7 +400,7 @@ class _FixpointSearch:
             if new is None:
                 stack.pop()
             elif new == cur:
-                if cur[0] and self.ev.check_at(0, cur[0]):
+                if cur[0]:
                     return cur[0]
             elif new not in seen:
                 seen.add(new)
@@ -463,14 +463,19 @@ def _row_space(f: Formula, mode: SemanticsMode) -> Optional[TeamEvaluator]:
 
 def _fixpoint(f: Formula, mode: SemanticsMode, budget: Optional[int],
               repair_log: Optional[list]) -> SatResult:
-    """:func:`sat_fixpoint` once ``f`` is known to be PL or PINC."""
+    """:func:`sat_fixpoint` and :func:`sat_split_free`, for PL and PINC."""
+    kind = logic_kind(f)
+    if kind not in (LogicKind.PL, LogicKind.PINC):
+        raise EngineNotApplicableError(
+            f"fixpoint search handles PINC (and plain PL), not {kind.value}"
+        )
     ev = _row_space(f, mode)
     if ev is None:
         return SatResult(SatStatus.UNSATISFIABLE)
     try:
         found = ev.max_model((1 << len(ev.rows)) - 1, budget)
         if found and mode is SemanticsMode.STRICT:
-            found = _FixpointSearch(ev, _Budget(budget), repair_log).run()
+            found = _FixpointSearch(ev, budget, repair_log, found).run()
     except ResourceBoundError:
         return SatResult(SatStatus.RESOURCE_EXHAUSTED)
     if not found:
@@ -488,18 +493,13 @@ def sat_fixpoint(f: Formula, mode: SemanticsMode,
     means :attr:`SatStatus.RESOURCE_EXHAUSTED`.  Empty, that model means
     unsatisfiable in both modes (every strict model is a lax model); in
     lax mode a nonempty one is the witness.  Otherwise strict mode runs
-    the determinized search, on ``budget`` units of its own: it exhausts
-    the initial-guess and split-distribution choices in canonical order
-    (smaller guesses first), so the first accepted fixpoint is
-    deterministic.
+    the determinized search inside it, on ``budget`` units, after one more
+    largest lax model per split child, each on ``budget`` units: it
+    exhausts the initial-guess and split-distribution choices in canonical
+    order (smaller guesses first), so the first fixpoint is deterministic.
     ``repair_log`` collects (before, after) team sizes for every
     inclusion repair.
     """
-    kind = logic_kind(f)
-    if kind not in (LogicKind.PL, LogicKind.PINC):
-        raise EngineNotApplicableError(
-            f"fixpoint search handles PINC (and plain PL), not {kind.value}"
-        )
     return _fixpoint(f, mode, budget, repair_log)
 
 
@@ -509,12 +509,6 @@ def sat_split_free(f: Formula) -> SatResult:
     is union closed, so that model is the union of all models, strict and
     lax alike; it is the witness.
     """
-    kind = logic_kind(f)
-    if kind not in (LogicKind.PL, LogicKind.PINC):
-        raise EngineNotApplicableError(
-            f"the labelling procedure handles PINC (and plain PL), "
-            f"not {kind.value}"
-        )
     if not is_split_free(f):
         raise EngineNotApplicableError(
             "the labelling procedure requires a split-free formula"

@@ -234,9 +234,10 @@ class TeamEvaluator:
             conj = self._conjuncts[i] = conjuncts(self.nodes, self.kids, i)
         return conj
 
-    def max_model(self, mask: int, budget: Optional[int] = None) -> int:
-        """The largest subteam of ``mask`` that satisfies a PL or PINC
-        formula under lax semantics, whatever :attr:`mode` says.
+    def max_model(self, mask: int, budget: Optional[int] = None,
+                  i: int = 0) -> int:
+        """The largest subteam of ``mask`` that satisfies the PL or PINC
+        node at position ``i`` under lax semantics, whatever :attr:`mode` says.
 
         Lax PINC is union closed, so that subteam exists; it is a greatest
         fixpoint.  A literal or inclusion atom drops the ``a`` of each
@@ -253,7 +254,6 @@ class TeamEvaluator:
         # must change nothing, subteam]; a split's is [right kid, subteam,
         # left kid's answer or None].
         stack: list[list] = []
-        i = 0
         while True:
             if mask:  # the empty team satisfies every node
                 left -= 1

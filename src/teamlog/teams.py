@@ -8,7 +8,7 @@ across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import TeamFormatError, UnknownVariableError
@@ -16,6 +16,14 @@ from .errors import TeamFormatError, UnknownVariableError
 __all__ = ["Team", "parse_team", "render_team", "team_from_object", "team_to_object"]
 
 Row = tuple[int, ...]
+
+
+def _array(value, kind: type) -> list:
+    """``value`` if it is a list of items of exactly type ``kind``, as JSON
+    arrays load: neither a string's characters nor ``True`` for 1."""
+    if type(value) is list and all(type(v) is kind for v in value):
+        return value
+    raise TypeError(f"{value!r} is not an array of {kind.__name__} items")
 
 
 @dataclass(frozen=True)
@@ -116,9 +124,9 @@ def render_team(team: Team) -> str:
 def team_from_object(obj: Mapping) -> Team:
     """Build a team from the structured ``{"vars": ..., "rows": ...}`` form."""
     try:
-        domain = tuple(obj["vars"])
-        rows = tuple(tuple(int(b) for b in row) for row in obj["rows"])
-    except (KeyError, TypeError, ValueError) as exc:
+        domain = tuple(_array(obj["vars"], str))
+        rows = [tuple(_array(row, int)) for row in _array(obj["rows"], list)]
+    except (KeyError, TypeError) as exc:
         raise TeamFormatError(f"bad structured team object: {exc}") from exc
     return Team(domain, rows)
 

@@ -381,7 +381,8 @@ class TestFixpoint:
             f = parse_formula(text)
             vs = variables(f)
             ev = TeamEvaluator(vs, _all_rows(len(vs)), f, STRICT)
-            search = sat._FixpointSearch(ev, sat._Budget(0), None)
+            top = (1 << len(ev.rows)) - 1
+            search = sat._FixpointSearch(ev, 0, None, top)
             return ev, search._repair_atom(0, sum(1 << r for r in rows))
 
         assert repair("inc(x; y)", [0b10])[1] == 1 << 0b10 | 1 << 0b11
@@ -422,20 +423,26 @@ class TestFixpoint:
         assert repairs > 100
 
     def test_guesses_in_sorted_product_order(self):
-        # The order oracle: every pick of at most one row per class, sorted
-        # by size and then by ascending row list.
+        # The order oracle: every pick of at most one of the given rows per
+        # class, sorted by size and then by ascending row list.  The rows
+        # are all row indices or a sorted sample of them.
         rng = random.Random(5)
-        for _ in range(600):
+        for k in range(600):
             count = rng.randint(1, 4)
             ycls = [rng.randrange(count) for _ in range(rng.randint(0, 10))]
-            classes = [sum(1 << r for r, k in enumerate(ycls) if k == c)
+            rows = sorted(rng.sample(range(len(ycls)),
+                                     rng.randint(0, len(ycls))))
+            if k % 3 == 0:
+                rows = list(range(len(ycls)))
+            classes = [sum(1 << r for r in rows if ycls[r] == c)
                        for c in range(count)]
             picks = [[0] + [1 << r for r in semantics._bits(m)]
                      for m in classes]
             expected = sorted(
                 (sum(combo) for combo in itertools.product(*picks)),
                 key=lambda m: (m.bit_count(), semantics._bits(m)))
-            assert list(sat._walk_guesses(ycls, count)) == expected, ycls
+            assert list(sat._walk_guesses(ycls, rows)) == expected, (ycls,
+                                                                     rows)
 
     def test_guesses_turn_as_an_odometer(self, monkeypatch):
         # run() visits the product of the atoms' guesses in the order of
@@ -447,7 +454,9 @@ class TestFixpoint:
             ))
             vs = variables(f)
             ev = TeamEvaluator(vs, _all_rows(len(vs)), f, STRICT)
-            search = sat._FixpointSearch(ev, sat._Budget(0), None)
+            top = (1 << len(ev.rows)) - 1
+            # the bounds spend their own units; the search spends none here
+            search = sat._FixpointSearch(ev, 1000, None, top)
             seen = []
             monkeypatch.setattr(search, "_search",
                                 lambda state: seen.append(state) and None)
@@ -459,10 +468,10 @@ class TestFixpoint:
                 for combo in itertools.product(*wheels)], seed
 
     def test_huge_guess_space_spends_budget(self):
-        # One inclusion atom has 17.9 million initial guesses at seed 501
-        # and 277 million at seed 504, too many to hold at once.  Under a
-        # 1 GB address-space limit the search must spend its budget on 501
-        # and find a model of 504.
+        # Inside its bound one inclusion atom has 163 million initial
+        # guesses at 40 nodes, seed 1438, too many to hold at once.  Under
+        # a 1 GB address-space limit the search must spend its budget on
+        # it and find models of seeds 501 (6 rows) and 504 (1 row).
         code = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -470,19 +479,74 @@ from teamlog import LogicKind, evaluate
 from teamlog.reductions import RandomFormulaConfig, random_formula
 from teamlog.sat import sat_fixpoint
 from teamlog.semantics import SemanticsMode
-for seed in (501, 504):
+for nodes, seed in ((40, 1438), (30, 501), (30, 504)):
     f = random_formula(RandomFormulaConfig(
-        logic=LogicKind.PINC, max_vars=10, max_nodes=30, max_arity=2,
+        logic=LogicKind.PINC, max_vars=10, max_nodes=nodes, max_arity=2,
         max_splits=4, seed=seed))
     r = sat_fixpoint(f, SemanticsMode.STRICT, budget=4000)
-    ok = r.witness is None or evaluate(r.witness, f, SemanticsMode.STRICT)
-    print(r.status.value, ok)
+    w = r.witness
+    ok = w is None or evaluate(w, f, SemanticsMode.STRICT)
+    print(r.status.value, ok, w and len(w))
 """
         proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["resource_exhausted", "True",
-                                       "satisfiable", "True"]
+        assert proc.stdout.split() == ["resource_exhausted", "True", "None",
+                                       "satisfiable", "True", "6",
+                                       "satisfiable", "True", "1"]
+
+    @pytest.mark.parametrize("text", [
+        "((x4 | inc(x1; x1)) | (B & (inc(x1; x1) | (!x2 & "
+        "inc(x2, x3; x2, x4)))))",
+        "(inc(x4; x3) | (B & ((x4 | inc(x2; x3)) & (inc(x1, x3; x1, x4) "
+        "| B))))",
+    ])
+    def test_strict_model_found_early(self, text):
+        # Both once spent the whole default budget; the bounds of their
+        # split children leave few guesses.
+        r = sat_fixpoint(parse_formula(text), STRICT, budget=4000)
+        assert r.witness.rows == ((0, 0, 0, 0),)
+
+    def test_unlabelled_split_searches_its_bound(self):
+        # A split at the root labels nothing, so the row space has 2^12
+        # rows, but the left child's bound is one row and B's is empty.
+        f = parse_formula(
+            "(" + " & ".join(f"x{k}" for k in range(12)) + " & inc(x0; x1))"
+            " | B")
+        r = sat_fixpoint(f, STRICT, budget=100)
+        assert r.witness.rows == ((1,) * 12,)
+
+    def test_search_checks_only_inclusion_atoms(self, monkeypatch):
+        # Seeds of a strict family, two literals prepended on odd seeds:
+        # every answer is decided at budget 4000, and the search checks no
+        # literal, constant, conjunction or split.
+        checked = set()
+        check_at = TeamEvaluator.check_at
+
+        def spy(ev, i, mask):
+            checked.add(type(ev.nodes[i]))
+            return check_at(ev, i, mask)
+
+        monkeypatch.setattr(TeamEvaluator, "check_at", spy)
+        found = []
+        for seed in range(60000, 60200):
+            n = 3 + seed % 4
+            f = random_formula(RandomFormulaConfig(
+                logic=LogicKind.PINC, max_vars=n, max_splits=3 + seed % 2,
+                max_nodes=13 + 6 * (seed % 3), seed=seed))
+            if seed % 2:
+                rng = random.Random(seed)
+                lits = [rng.choice(("", "!")) + f"x{rng.randint(1, n)}"
+                        for _ in range(2)]
+                lits.append(f"({render_formula(f)})")
+                f = parse_formula(" & ".join(lits))
+            found.append((f, sat_fixpoint(f, STRICT, budget=4000)))
+        assert checked == {Inc}
+        monkeypatch.undo()
+        for f, r in found:
+            assert r.status is not EXHAUSTED, render_formula(f)
+            if r.status is SAT:
+                assert_verified(r, f, STRICT)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 9), st.sampled_from([STRICT, LAX]),

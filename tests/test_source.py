@@ -19,6 +19,47 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _unused_imports(text: str) -> list[str]:
+    """The names that ``text`` imports and never reads, save ``__future__``
+    features, names listed in ``__all__`` and lines marked ``noqa: F401``
+    (re-exports)."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{alias.lineno}:{name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            for name in [(alias.asname or alias.name).split(".")[0]]
+            if name not in used
+            and "# noqa: F401" not in lines[alias.lineno - 1]]
+
+
+def test_unused_imports_helper():
+    assert _unused_imports(
+        "from __future__ import annotations\n"
+        "import os.path\nimport re as regex\n"
+        "from typing import (\n    Iterator,\n    Union,\n)\n"
+        "from .a import b  # noqa: F401\nfrom .c import d\n"
+        "__all__ = ['d']\nx: Union[int, None] = regex\n"
+    ) == ["2:os", "5:Iterator"]
+
+
+def test_no_unused_imports():
+    # An import that nothing reads is dead code; ``__init__.py`` only
+    # re-exports, so it is not scanned.
+    package = Path(teamlog.__file__).parent
+    found = [f"{path.name}:{name}" for path in sorted(package.rglob("*.py"))
+             if path.name != "__init__.py"
+             for name in _unused_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
 # Call cycles that may stay, each with the reason its depth is bounded or
 # why it is not yet an iteration.  A cycle that goes away must leave this
 # list too, so the list only shrinks.

@@ -104,6 +104,16 @@ class TestTextFormat:
         with pytest.raises(TeamFormatError):
             team_from_object({"vars": ["x"]})
 
+    @pytest.mark.parametrize("obj", [
+        {"vars": "xy", "rows": [[0, 1]]},  # a string, not a list of names
+        {"vars": ["x", "y"], "rows": ["01"]},  # a row string, not bits
+        {"vars": ["x", "y"], "rows": [[True, 1.7]]},  # neither is an int
+        {"vars": ["x", "y"], "rows": [(0, 1)]},  # no JSON array
+    ])
+    def test_structured_exact_types(self, obj):
+        with pytest.raises(TeamFormatError):
+            team_from_object(obj)
+
     def test_structured_duplicate_variable_rejected(self):
         with pytest.raises(TeamFormatError, match="duplicate"):
             team_from_object({"vars": ["x", "x"], "rows": [[0, 1]]})
