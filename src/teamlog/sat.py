@@ -467,8 +467,7 @@ def _fixpoint(f: Formula, mode: SemanticsMode, budget: Optional[int],
     kind = logic_kind(f)
     if kind not in (LogicKind.PL, LogicKind.PINC):
         raise EngineNotApplicableError(
-            f"fixpoint search handles PINC (and plain PL), not {kind.value}"
-        )
+            f"the fixpoint engines handle PINC and PL, not {kind.value}")
     ev = _row_space(f, mode)
     if ev is None:
         return SatResult(SatStatus.UNSATISFIABLE)

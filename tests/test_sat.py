@@ -390,6 +390,11 @@ class TestFixpoint:
         # overlapping tuples: 100 gains 110, whose x-value 11 is no y-value
         with pytest.raises(sat._Reject):
             repair("inc(a, b; b, c)", [0b100])
+        # a mirror outside the row space lies in no bound: 10 needs 11
+        ev = TeamEvaluator(("x", "y"), [(1, 0), (0, 1)],
+                           parse_formula("inc(x; y)"), STRICT)
+        with pytest.raises(sat._Reject):
+            sat._FixpointSearch(ev, 0, None, 0b11)._repair_atom(0, 0b01)
         # disjoint tuples always repair, to at most twice the rows
         rng = random.Random(5)
         for _ in range(50):
