@@ -87,13 +87,12 @@ class SatResult:
 def _all_rows(n: int, count: Optional[int] = None) -> list[tuple[int, ...]]:
     """The first ``count`` (default all) assignments over ``n`` variables,
     ordered as binary numbers."""
-    return [tuple(i >> (n - 1 - j) & 1 for j in range(n))
-            for i in range(1 << n)[:count]]
+    return list(itertools.islice(itertools.product((0, 1), repeat=n), count))
 
 
 def _team(vs: tuple[str, ...], rows: list, mask: int) -> Team:
     """The team of the rows that ``mask`` selects."""
-    return Team(vs, tuple(rows[i] for i in members(mask)))
+    return Team(vs, tuple(map(rows.__getitem__, members(mask))))
 
 
 class _Budget:
@@ -453,11 +452,9 @@ def _row_space(f: Formula, mode: SemanticsMode) -> Optional[TeamEvaluator]:
     if k > MAX_FREE_VARS:
         raise ResourceBoundError(
             f"the labels leave 2^{k} rows; cap is 2^{MAX_FREE_VARS}")
-    # Per variable, its label or the bit of the row index that it takes.
-    free = iter(range(k - 1, -1, -1))
-    cols = [(labels[v], -1) if v in labels else (0, next(free)) for v in vs]
-    rows = [tuple(c if b < 0 else i >> b & 1 for c, b in cols)
-            for i in range(1 << k)]
+    # The free variables count in binary, the first one highest.
+    rows = itertools.product(*[(labels[v],) if v in labels else (0, 1)
+                               for v in vs])
     return TeamEvaluator(vs, rows, f, mode)
 
 

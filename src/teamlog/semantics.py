@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 from typing import Optional
 
 from .errors import (EngineNotApplicableError, EnumerationCapError,
@@ -34,6 +36,7 @@ __all__ = [
 
 DEFAULT_ENUMERATION_CAP = 16
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # row bits as base-2 digits
+_BITS = bytes.maketrans(b"01", b"\0\1")  # base-2 digits as bits
 # Below this many rows, one shift or OR per row beats the linear-time
 # column masks of :func:`_column_ones` and :meth:`TeamEvaluator.value_masks`
 # (measured on CPython 3.11 with 1- and 2-variable tuples: they cross
@@ -68,7 +71,8 @@ def _bits(mask: int) -> list[int]:
 
 def members(bits: int) -> list[int]:
     """:func:`_bits` in time linear in the length of ``bits``."""
-    return [i for i, ch in enumerate(reversed(bin(bits))) if ch == "1"]
+    digits = bin(bits)[:1:-1].encode().translate(_BITS)  # lowest bit first
+    return list(itertools.compress(range(len(digits)), digits))
 
 
 def _column_ones(rows: list, i: int) -> int:
@@ -77,7 +81,8 @@ def _column_ones(rows: list, i: int) -> int:
     base-2 numeral."""
     if len(rows) < _SHORT:
         return sum(1 << j for j, row in enumerate(rows) if row[i])
-    return int(bytes([row[i] for row in reversed(rows)]).translate(_DIGITS), 2)
+    column = bytes(map(operator.itemgetter(i), reversed(rows)))
+    return int(column.translate(_DIGITS), 2)
 
 
 _LATTICES: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -115,6 +120,7 @@ class TeamEvaluator:
         self.memo: dict[tuple[int, int], bool] = {}
         self._constraints: list = [None] * len(self.nodes)
         self._conjuncts: list = [None] * len(self.nodes)
+        self._columns: dict[str, int] = {}
         missing = sorted(variable_names(self.nodes).difference(domain))
         if missing:
             raise UnknownVariableError(
@@ -128,29 +134,34 @@ class TeamEvaluator:
 
         One OR per row costs O(rows^2 / 64) word operations, as each OR
         copies the value's growing mask.  Each value's mask is also the AND
-        of one column mask or its complement per variable, at most
-        ``k * 2^k`` ANDs for ``k = len(vs)``, O(k * 2^k * rows / 64) in all.
-        Measured, the ANDs win from ``4 * k * 2^k`` rows (and
-        :data:`_SHORT`) on; below that, and so for wide tuples, the rows
-        are ORed in one by one.
+        of one column mask or its complement per variable: the values are
+        narrowed one variable at a time, keeping the nonempty masks, at
+        most ``2 * 2^k`` ANDs per variable for ``k = len(vs)``.  A value's
+        lowest row is its first occurrence, which orders them.  Measured,
+        the ANDs win from ``4 * k * 2^k`` rows (and :data:`_SHORT`) on;
+        below that, and so for wide tuples, the rows are ORed in one by one.
         """
-        columns = [[row[self._index[v]] for row in self.rows] for v in vs]
-        keys = zip(*columns) if vs else [()] * len(self.rows)
-        out: dict[tuple, int] = {}
         n = len(self.rows)
         if n < _SHORT or n < len(vs) << len(vs) + 2:
-            for j, key in enumerate(keys):
+            columns = [[row[self._index[v]] for row in self.rows] for v in vs]
+            out: dict[tuple, int] = {}
+            for j, key in enumerate(zip(*columns) if vs else [()] * n):
                 out[key] = out.get(key, 0) | 1 << j
             return out
-        full = (1 << n) - 1
-        pairs = [(full ^ ones, ones) for ones in
-                 (_column_ones(self.rows, self._index[v]) for v in vs)]
-        for key in dict.fromkeys(keys):
-            mask = full
-            for pair, bit in zip(pairs, key):
-                mask &= pair[bit]
-            out[key] = mask
-        return out
+        out = {(): (1 << n) - 1}
+        for v in vs:
+            ones = self._ones(v)
+            out = {key + (bit,): part for key, mask in out.items()
+                   for bit, part in enumerate((mask & ~ones, mask & ones))
+                   if part}
+        return dict(sorted(out.items(), key=lambda item: item[1] & -item[1]))
+
+    def _ones(self, v: str) -> int:
+        """:func:`_column_ones` of the variable ``v``, found once."""
+        ones = self._columns.get(v)
+        if ones is None:
+            ones = self._columns[v] = _column_ones(self.rows, self._index[v])
+        return ones
 
     def constraints(self, i: int) -> list[tuple[int, int, int]]:
         """:meth:`_atom` of the node at position ``i``, compiled once."""
@@ -172,7 +183,7 @@ class TeamEvaluator:
                 bad = full
             else:
                 name = node.name if isinstance(node, VarRef) else node.child.name
-                ones = _column_ones(self.rows, self._index[name])
+                ones = self._ones(name)
                 bad = full ^ ones if isinstance(node, VarRef) else ones
             cons = [(bad, bad, 0)] if bad else []
         elif isinstance(node, Dep):

@@ -36,8 +36,14 @@ class Team:
     def __post_init__(self):
         if len(set(self.domain)) != len(self.domain):
             raise TeamFormatError(f"duplicate variable name in {self.domain}")
+        try:  # all rows at once; the row loop below names a bad one
+            valid = (set(map(len, self.rows)) <= {len(self.domain)}
+                     and set().union(*self.rows) <= {0, 1}
+                     and len(set(self.rows)) == len(self.rows))
+        except TypeError:
+            valid = False
         seen = set()
-        for row in self.rows:
+        for row in () if valid else self.rows:
             if len(row) != len(self.domain):
                 raise TeamFormatError(
                     f"row {row} has arity {len(row)}, domain has {len(self.domain)}"

@@ -25,6 +25,7 @@ from teamlog.sat import (
     SatResult,
     SatStatus,
     _all_rows,
+    _row_space,
     sat_brute,
     sat_fixpoint,
     sat_singleton,
@@ -364,6 +365,23 @@ class TestFixpoint:
                 sat_fixpoint(f, mode, budget=0)
         with pytest.raises(ResourceBoundError):
             sat_split_free(f)
+
+    def test_row_space_is_the_label_consistent_rows(self):
+        # The rows of _all_rows that agree with the labels, in its order.
+        rng = random.Random(21)
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            vs = tuple(f"x{j}" for j in range(n))
+            labels = {v: rng.randint(0, 1)
+                      for v in rng.sample(vs, rng.randint(0, n))}
+            parts = [v if c else f"!{v}" for v, c in labels.items()]
+            # a split labels nothing, and it brings in every variable
+            parts.append("(" + " | ".join(vs) + " | T)")
+            ev = _row_space(parse_formula(" & ".join(parts)), STRICT)
+            assert ev.domain == vs
+            assert ev.rows == [
+                row for row in _all_rows(n)
+                if all(row[vs.index(v)] == c for v, c in labels.items())]
 
     def test_repair_log_bound(self):
         log = []

@@ -23,6 +23,7 @@ from teamlog import (
     evaluate,
     parse_formula,
 )
+from teamlog import semantics
 from teamlog.semantics import SemanticsMode, TeamEvaluator, eval_atom, members
 from teamlog.errors import ArityMismatchError
 from teamlog.reductions import RandomFormulaConfig, random_formula
@@ -195,23 +196,33 @@ class TestAtomKernel:
                 eval_atom(t, bad)
 
 
-def test_value_masks_match_row_loop():
+def test_value_masks_match_row_loop(monkeypatch):
     # Both regimes (one OR per row below max(32, 4 k 2^k) rows for k
-    # variables, column ANDs from there on) against one OR per row.
+    # variables, column ANDs from there on) against one OR per row, on
+    # tuples with and without a repeated variable, as in inc(x, x; y, z).
+    # Each column mask is built at most once per evaluator.
+    columns = []
+    column_ones = semantics._column_ones
+    monkeypatch.setattr(semantics, "_column_ones", lambda rows, i: (
+        columns.append(i) or column_ones(rows, i)))
     rng = random.Random(7)
-    domain = tuple(f"x{j}" for j in range(8))
-    for n in (0, 1, 2, 31, 32, 95, 96, 255, 256):
-        rows = rng.sample(range(256), n)
-        rows = [tuple(r >> (7 - j) & 1 for j in range(8)) for r in rows]
+    domain = tuple(f"x{j}" for j in range(11))
+    for n in (0, 1, 2, 31, 32, 95, 96, 255, 256, 512, 2048):
+        rows = rng.sample(range(2048), n)
+        rows = [tuple(r >> (10 - j) & 1 for j in range(11)) for r in rows]
         ev = TeamEvaluator(domain, rows, Top(), STRICT)
-        for k in range(5):
-            vs = tuple(rng.sample(domain, k))
-            expected = {}
-            for j, row in enumerate(rows):
-                key = tuple(row[domain.index(v)] for v in vs)
-                expected[key] = expected.get(key, 0) | 1 << j
-            got = ev.value_masks(vs)
-            assert list(got.items()) == list(expected.items()), (n, vs)
+        columns.clear()
+        for k in range(6):
+            for vs in (tuple(rng.sample(domain, k)),
+                       tuple(rng.choices(domain[:3], k=k))):
+                expected = {}
+                for j, row in enumerate(rows):
+                    key = tuple(row[domain.index(v)] for v in vs)
+                    expected[key] = expected.get(key, 0) | 1 << j
+                got = ev.value_masks(vs)
+                assert list(got.items()) == list(expected.items()), (n, vs)
+        assert len(columns) == len(set(columns)), n
+    assert columns  # the column ANDs ran on 2048 rows
 
 
 def test_atom_compiles_once_per_evaluator(monkeypatch):

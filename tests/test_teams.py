@@ -1,6 +1,8 @@
 """Team data model and text formats."""
 
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,22 @@ class TestConstruction:
     def test_non_bit_rejected(self):
         with pytest.raises(TeamFormatError):
             Team(("x",), ((2,),))
+
+    def test_bad_row_near_the_end_of_a_large_team_is_named(self):
+        rows = list(itertools.product((0, 1), repeat=10))  # 1024 rows
+        domain = tuple(f"x{j}" for j in range(10))
+        assert len(Team(domain, tuple(rows))) == 1024
+        for bad, what in (((0, 1) * 3, "arity"), ((1,) * 9 + (2,), "non-bit"),
+                          (rows[0], "duplicate")):
+            team = rows[:-3] + [bad] + rows[-3:]
+            with pytest.raises(TeamFormatError, match=re.escape(f"{bad}")) as e:
+                Team(domain, tuple(team))
+            assert what in str(e.value)
+
+    def test_true_counts_as_one(self):
+        assert Team(("x", "y"), ((True, 0), (0, 1))).rows == ((0, 1), (True, 0))
+        with pytest.raises(TeamFormatError, match=re.escape("duplicate row (1,)")):
+            Team(("x",), ((True,), (1,)))
 
     def test_index_unknown_variable(self):
         t = Team(("x",), ())
