@@ -26,6 +26,7 @@ from .formulas import (LogicKind, is_split_free, logic_kind, parse_formula,
 from .modelcheck import mc
 from .reductions import SetSplittingInstance, dep_to_indep, setsplit_to_pinc_mc
 from .sat import (
+    DEFAULT_BRUTE_MAX_VARS,
     DEFAULT_FIXPOINT_BUDGET,
     SatStatus,
     sat_brute,
@@ -233,9 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_count("a budget (--budget or TEAMLOG_BUDGET)"),
                    default=os.environ.get("TEAMLOG_BUDGET") or None,
                    help="search budget (overrides TEAMLOG_BUDGET)")
-    p.add_argument("--max-vars", default=4,
+    p.add_argument("--max-vars", default=DEFAULT_BRUTE_MAX_VARS,
                    type=_count("a variable bound (--max-vars)"),
-                   help="brute-force variable bound (reach: 16 assignments)")
+                   help="brute-force variable bound (reach: "
+                   f"{1 << DEFAULT_BRUTE_MAX_VARS} assignments)")
     common(p)
     p.set_defaults(func=_cmd_sat)
 

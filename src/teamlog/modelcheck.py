@@ -97,8 +97,8 @@ def mc_bottom_up(team: Team, f: Formula, mode: SemanticsMode) -> bool:
     return table.bits[0] >> full & 1 == 1
 
 
-def mc(team: Team, f: Formula, mode: SemanticsMode, algo: str = "recursive") -> bool:
-    """Dispatch between the recursive evaluator and the bottom-up table."""
+def mc(team: Team, f: Formula, mode: SemanticsMode, algo: str = "bottomup") -> bool:
+    """Dispatch between the bottom-up table and the recursive evaluator."""
     if algo == "recursive":
         return evaluate(team, f, mode)
     if algo == "bottomup":

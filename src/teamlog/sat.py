@@ -13,9 +13,9 @@ Four routes with very different scaling behaviour:
   model in it.  That decides lax mode, split-free input, and strict mode
   when it is empty.  Otherwise strict :func:`sat_fixpoint` runs, inside
   it, a determinized backtracking search over the choice points of a
-  nondeterministic fixpoint construction: guess small initial subteams
-  per atom, then alternate bottom-up repair/union rounds with top-down
-  copy/distribution rounds until the per-node teams stop growing.
+  nondeterministic fixpoint construction: guess a root row and small
+  subteams per inclusion atom, then alternate bottom-up repair/union
+  rounds with top-down copy/routing rounds until the teams stop growing.
 """
 
 from __future__ import annotations
@@ -242,7 +242,9 @@ class _FixpointSearch:
     the root, the parent's bound below a conjunction, and below a split
     the child's largest lax model in the split's bound, which holds every
     strict labelling.  Rows only accumulate and reach the root, so a state
-    that leaves a bound is dead, and a fixpoint is a strict labelling."""
+    that leaves a bound is dead, and a fixpoint is a strict labelling.
+    Only the root (one row) and the inclusion atoms guess: the rows that
+    one root row generates in a strict labelling form a strict labelling."""
 
     def __init__(self, ev: TeamEvaluator, budget: int,
                  repair_log: Optional[list], top: int):
@@ -257,31 +259,29 @@ class _FixpointSearch:
                                  ev.max_model(self.bound[i], budget, k))
         self.live = [i for i in range(len(nodes))
                      if not (i and type(nodes[i - 1]) is Not)]
-        self.atoms = [i for i in self.live if len(kids[i]) < 2]
+        self.guessers = [i for i in self.live
+                         if i == 0 or isinstance(nodes[i], Inc)]
         self._mirrors: dict[int, list[int]] = {}
-        self._guesses: dict[int, object] = {}
+        self._guesses: dict[int, tuple[dict, list]] = {}
 
     # -- initial guesses ----------------------------------------------------
 
-    def _atom_candidates(self, i: int):
-        """An iterator over the initial guesses for the atom at position
-        ``i``, by size, then by ascending row list.  An inclusion atom's
-        guesses are walked afresh each time, so memory does not grow with
-        their number."""
+    def _candidates(self, i: int):
+        """The initial guesses of the root or inclusion atom at position
+        ``i``, by size, then by ascending row list, walked afresh each time,
+        so memory does not grow with their number."""
         found = self._guesses.get(i)
         if found is None:
             atom, rows = self.ev.nodes[i], members(self.bound[i])
-            if not isinstance(atom, Inc):
-                # The empty team or one row of the bound.
-                found = [0] + [1 << r for r in rows]
-            else:
-                # At most one row per y-value class: the bounded guesses the
-                # correctness argument needs (at most 2^arity rows).
-                classes = self.ev.value_masks(atom.ys).values()
-                found = ({r: k for k, ymask in enumerate(classes)
-                          for r in members(ymask)}, rows)
+            # At most one row per y-value class: the bounded guesses the
+            # correctness argument needs (at most 2^arity rows).  Any other
+            # root has no y-variables, so it guesses one row or none.
+            ys = atom.ys if isinstance(atom, Inc) else ()
+            classes = self.ev.value_masks(ys).values()
+            found = ({r: k for k, ymask in enumerate(classes)
+                      for r in members(ymask)}, rows)
             self._guesses[i] = found
-        return iter(found) if type(found) is list else _walk_guesses(*found)
+        return _walk_guesses(*found)
 
     # -- rounds -------------------------------------------------------------
 
@@ -323,7 +323,7 @@ class _FixpointSearch:
         for i in reversed(self.live):
             kids = self.ev.kids[i]
             if len(kids) == 2:
-                new[i] = new[kids[0]] | new[kids[1]]
+                new[i] |= new[kids[0]] | new[kids[1]]
             else:
                 new[i] = self._repair_atom(i, new[i])
         return tuple(new)
@@ -367,25 +367,25 @@ class _FixpointSearch:
             pos = routes[-1][0] + 1
 
     def run(self) -> Optional[int]:
-        """The row mask of the first accepted fixpoint, or None.  The atoms'
-        guesses turn as an odometer, the last atom fastest; a wheel that
-        runs out restarts its generator and turns the one before it."""
-        atoms = self.atoms
-        wheels = [self._atom_candidates(i) for i in atoms]
+        """The row mask of the first accepted fixpoint, or None.  The
+        guesses turn as an odometer, the root slowest; a wheel that runs
+        out restarts its generator and turns the one before it."""
+        guessers = self.guessers
+        wheels = [self._candidates(i) for i in guessers]
         state = [0] * len(self.ev.nodes)
-        for i, wheel in zip(atoms, wheels):
+        for i, wheel in zip(guessers, wheels):
             state[i] = next(wheel)
         while True:
             witness = self._search(tuple(state))
             if witness is not None:
                 return witness
-            for k in range(len(atoms) - 1, -1, -1):
+            for k in range(len(guessers) - 1, -1, -1):
                 guess = next(wheels[k], None)
                 if guess is not None:
-                    state[atoms[k]] = guess
+                    state[guessers[k]] = guess
                     break
-                wheels[k] = self._atom_candidates(atoms[k])
-                state[atoms[k]] = next(wheels[k])
+                wheels[k] = self._candidates(guessers[k])
+                state[guessers[k]] = next(wheels[k])
             else:
                 return None
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamlog import LogicKind, Team, cli, render_formula
+from teamlog import LogicKind, Team, cli, render_formula, sat
 from teamlog.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -265,6 +265,13 @@ class TestSat:
         code, report = run(capsys, "sat", f, "--algo", "brute",
                            "--max-vars", "5")
         assert code == EXIT_OK
+
+    def test_max_vars_default_is_the_library_default(self, capsys):
+        args = cli.build_parser().parse_args(["sat", "f.tl"])
+        assert args.max_vars == sat.DEFAULT_BRUTE_MAX_VARS
+        assert main(["sat", "--help"]) == EXIT_OK
+        reach = f"(reach: {2 ** sat.DEFAULT_BRUTE_MAX_VARS} assignments)"
+        assert reach in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
     def test_bad_max_vars_is_usage_error(self, files, capsys, value):

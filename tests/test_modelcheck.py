@@ -1,6 +1,7 @@
 """Bottom-up model checking against the recursive evaluator."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -210,6 +211,18 @@ class TestDispatch:
     def test_unknown_algo(self, example_team, example_formula):
         with pytest.raises(ValueError):
             mc(example_team, example_formula, STRICT, algo="magic")
+
+    def test_default_answers_past_the_recursion_limit(self):
+        # The default is the bottom-up table, which does not nest: x1
+        # under 1100 splits, where the recursive evaluator nests per split.
+        f = parse_formula("x1 | (" * 1100 + "x1" + ")" * 1100)
+        team = Team(("x1",), ((1,),))
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert mc(team, f, STRICT) and mc(team, f, LAX)
+        finally:
+            sys.setrecursionlimit(old)
 
 
 class TestOracleEquivalence:

@@ -20,6 +20,7 @@ from teamlog import (
     variables,
 )
 from teamlog import sat, semantics, teams
+from teamlog.modelcheck import build_sat_table
 from teamlog.errors import ResourceBoundError
 from teamlog.sat import (
     SatResult,
@@ -41,6 +42,9 @@ LAX = SemanticsMode.LAX
 SAT = SatStatus.SATISFIABLE
 UNSAT = SatStatus.UNSATISFIABLE
 EXHAUSTED = SatStatus.RESOURCE_EXHAUSTED
+#: lax-satisfiable and strictly unsatisfiable
+SEPARATING = ("c & d & !e & inc(e; a) & inc(e; b) & "
+              "((a & inc(c; b)) | (b & inc(d; a)))")
 
 
 def assert_verified(result: SatResult, f, mode):
@@ -484,9 +488,9 @@ class TestFixpoint:
             monkeypatch.setattr(search, "_search",
                                 lambda state: seen.append(state) and None)
             assert search.run() is None
-            wheels = [list(search._atom_candidates(i)) for i in search.atoms]
+            wheels = [list(search._candidates(i)) for i in search.guessers]
             assert seen == [
-                tuple(dict(zip(search.atoms, combo)).get(i, 0)
+                tuple(dict(zip(search.guessers, combo)).get(i, 0)
                       for i in range(len(search.ev.nodes)))
                 for combo in itertools.product(*wheels)], seed
 
@@ -517,6 +521,80 @@ for nodes, seed in ((40, 1438), (30, 501), (30, 504)):
         assert proc.stdout.split() == ["resource_exhausted", "True", "None",
                                        "satisfiable", "True", "6",
                                        "satisfiable", "True", "1"]
+
+    def test_root_seed_is_walked_lazily(self):
+        # A chain of inclusion atoms over 17 free variables and a split of
+        # x1 against !x1: each literal's bound holds 2^16 rows, too many to
+        # hold as one 2^17-bit mask each under a 1 GB address-space limit.
+        # Only the root guesses rows, one at a time.
+        code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from teamlog import evaluate, parse_formula
+from teamlog.sat import sat_fixpoint
+from teamlog.semantics import SemanticsMode
+f = parse_formula(" & ".join(f"inc(x{k}; x{min(k + 1, 17)})"
+                             for k in range(1, 18)) + " & (x1 | !x1)")
+r = sat_fixpoint(f, SemanticsMode.STRICT, budget=1000)
+print(r.status.value, evaluate(r.witness, f, SemanticsMode.STRICT))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["satisfiable", "True"]
+
+    def test_separating_formulas_match_strict_tables(self):
+        # Strict and lax PINC differ on SEPARATING: its labels leave the
+        # rows ab of 4, inc(e; a) and inc(e; b) need 01 and 10, each fits
+        # one side only, and then both sides need 11.  Draws rename the
+        # variables, flip every literal (an equivalent formula) or one
+        # label, and drop or add one atom.  The strict answer must match a
+        # table over every subteam of the row space; draws that add an
+        # inclusion atom to a side need up to about 54,000 units.
+        def table_sat(f, mode, ev):
+            team = Team(ev.domain, ev.rows)
+            return build_sat_table(team, f, mode).bits[0] >> 1 != 0
+
+        rng = random.Random(22)
+        separated = 0
+        for _ in range(100):
+            a, b, c, d, e = rng.sample("abcdepqr", 5)
+            flip = rng.random() < 0.5
+
+            def lit(v, positive=True):
+                return v if positive != flip else "!" + v
+
+            top = [lit(c), lit(d), lit(e, False), f"inc({e}; {a})",
+                   f"inc({e}; {b})"]
+            if rng.random() < 0.25:
+                k = rng.randrange(3)
+                top[k] = top[k][1:] if top[k][0] == "!" else "!" + top[k]
+            sides = [[lit(a), f"inc({c}; {b})"], [lit(b), f"inc({d}; {a})"]]
+            part = rng.choice([top] + sides)
+            roll = rng.random()
+            if roll < 0.2:
+                part.pop(rng.randrange(len(part)))
+            elif roll < 0.4:
+                x, y = rng.sample([a, b, c, d, e, "s"], 2)
+                part.insert(rng.randrange(len(part) + 1), rng.choice(
+                    [f"inc({x}; {y})", rng.choice(("", "!")) + x]))
+            rng.shuffle(top)
+            rng.shuffle(sides)
+            split = " | ".join("(" + " & ".join(s) + ")" for s in sides)
+            f = parse_formula(" & ".join(top) + f" & ({split})")
+            ev = _row_space(f, STRICT)
+            assert len(ev.rows) <= 16
+            lax, strict = table_sat(f, LAX, ev), table_sat(f, STRICT, ev)
+            got = sat_fixpoint(f, STRICT, budget=100_000)
+            assert got.status is (SAT if strict else UNSAT), render_formula(f)
+            if strict:
+                assert_verified(got, f, STRICT)
+            assert sat_fixpoint(f, LAX).status is (SAT if lax else UNSAT)
+            separated += lax and not strict
+        assert separated >= 20
+        f = parse_formula(SEPARATING)
+        assert sat_fixpoint(f, STRICT, budget=20_000).status is UNSAT
+        assert_verified(sat_fixpoint(f, LAX), f, LAX)
 
     @pytest.mark.parametrize("text", [
         "((x4 | inc(x1; x1)) | (B & (inc(x1; x1) | (!x2 & "
