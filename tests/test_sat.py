@@ -544,13 +544,13 @@ print(r.status.value, evaluate(r.witness, f, SemanticsMode.STRICT))
         assert proc.stdout.split() == ["satisfiable", "True"]
 
     def test_separating_formulas_match_strict_tables(self):
-        # Strict and lax PINC differ on SEPARATING: its labels leave the
-        # rows ab of 4, inc(e; a) and inc(e; b) need 01 and 10, each fits
-        # one side only, and then both sides need 11.  Draws rename the
+        # Strict and lax PINC differ on SEPARATING: its labels leave one
+        # row per value of ab, inc(e; a) and inc(e; b) need 01 and 10, each
+        # fits one side only, and then both sides need 11.  Draws rename the
         # variables, flip every literal (an equivalent formula) or one
         # label, and drop or add one atom.  The strict answer must match a
-        # table over every subteam of the row space; draws that add an
-        # inclusion atom to a side need up to about 54,000 units.
+        # table over every subteam of the row space.  An added inclusion
+        # atom multiplies the guesses, hence the draws' larger budget.
         def table_sat(f, mode, ev):
             team = Team(ev.domain, ev.rows)
             return build_sat_table(team, f, mode).bits[0] >> 1 != 0
