@@ -23,7 +23,7 @@ from .errors import (
 )
 from .formulas import (LogicKind, is_split_free, logic_kind, parse_formula,
                        render_formula)
-from .modelcheck import mc
+from .modelcheck import mc, mc_bottom_up
 from .reductions import SetSplittingInstance, dep_to_indep, setsplit_to_pinc_mc
 from .sat import (
     DEFAULT_BRUTE_MAX_VARS,
@@ -119,7 +119,8 @@ def _cmd_sat(args) -> int:
     if witness is not None:
         # A split-free formula needs no split enumeration, so its re-check
         # is linear in the witness and needs no cap.  Beyond the cap, a lax
-        # PL/PINC witness is a model iff it is its own largest model.
+        # PL/PINC witness is a model iff it is its own largest model.  Else
+        # the iterative tables check it, at any depth of split nesting.
         if is_split_free(formula):
             holds = evaluate(witness, formula, mode, cap=len(witness))
         elif (len(witness) > DEFAULT_ENUMERATION_CAP
@@ -129,7 +130,7 @@ def _cmd_sat(args) -> int:
             ev = TeamEvaluator(witness.domain, witness.rows, formula, mode)
             holds = ev.max_model(full) == full
         else:
-            holds = evaluate(witness, formula, mode)
+            holds = mc_bottom_up(witness, formula, mode)
         if not holds:
             print(f"internal error: the {args.algo} witness fails its re-check",
                   file=sys.stderr)

@@ -20,6 +20,7 @@ Four routes with very different scaling behaviour:
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 from dataclasses import dataclass
@@ -199,14 +200,6 @@ def sat_singleton(f: Formula,
     return SatResult(SatStatus.UNSATISFIABLE)
 
 
-def _mirrored(row: tuple, pairs) -> tuple:
-    """``row`` with the value at each ``src`` position copied to ``dst``."""
-    t = list(row)
-    for src, dst in pairs:
-        t[dst] = row[src]
-    return tuple(t)
-
-
 # ---------------------------------------------------------------------------
 # Determinized fixpoint search for PINC
 
@@ -214,24 +207,28 @@ class _Reject(Exception):
     pass
 
 
-def _walk_guesses(ycls, rows: list):
-    """Yield the masks of at most one of ``rows`` per class ``ycls[r]``,
-    by size, then by ascending row list: each size is a depth first walk
-    over ``rows`` in order, whose last level yields its rows in turn."""
-    cls = [ycls[r] for r in rows]
+def _walk_guesses(classes: list[int], bound: int):
+    """Yield the masks of at most one row of ``bound`` per class mask, by
+    size, then by ascending row list.  Each size is a depth first walk on
+    masks alone: a state picks the lowest row it may and leaves open only
+    the rows above it, both for the pick's next level and for its siblings."""
     yield 0
-    for size in range(1, len(set(cls)) + 1):
-        stack = [(0, 0, ())]  # the next row to try, the rows picked, classes
+    for size in range(1, sum(1 for c in classes if c & bound) + 1):
+        stack = [(bound, 0, 0)]  # the rows still open, the rows picked, classes
         while stack:
-            j, mask, used = stack.pop()
-            if len(used) + 1 == size:
-                for k in range(j, len(rows)):
-                    if cls[k] not in used:
-                        yield mask | 1 << rows[k]
-            else:
-                stack += [(k + 1, mask | 1 << rows[k], used + (cls[k],))
-                          for k in range(len(rows) - 1, j - 1, -1)
-                          if cls[k] not in used]
+            open_, mask, used = stack.pop()
+            rows = open_ & ~used
+            if rows:
+                low = rows & -rows
+                above = open_ & -(low << 1)
+                stack.append((above, mask, used))
+                if mask.bit_count() + 1 == size:
+                    yield mask | low
+                else:
+                    for c in classes:
+                        if c & low:
+                            stack.append((above, mask | low, used | c))
+                            break
 
 
 class _FixpointSearch:
@@ -244,7 +241,9 @@ class _FixpointSearch:
     strict labelling.  Rows only accumulate and reach the root, so a state
     that leaves a bound is dead, and a fixpoint is a strict labelling.
     Only the root (one row) and the inclusion atoms guess: the rows that
-    one root row generates in a strict labelling form a strict labelling."""
+    one root row generates in a strict labelling form a strict labelling.
+    Nothing is kept per row: a guesser keeps its class masks, and each
+    mirror is looked up when a row is repaired."""
 
     def __init__(self, ev: TeamEvaluator, budget: int,
                  repair_log: Optional[list], top: int):
@@ -261,43 +260,41 @@ class _FixpointSearch:
                      if not (i and type(nodes[i - 1]) is Not)]
         self.guessers = [i for i in self.live
                          if i == 0 or isinstance(nodes[i], Inc)]
-        self._mirrors: dict[int, list[int]] = {}
-        self._guesses: dict[int, tuple[dict, list]] = {}
+        self._classes: dict[int, list[int]] = {}
 
     # -- initial guesses ----------------------------------------------------
 
     def _candidates(self, i: int):
         """The initial guesses of the root or inclusion atom at position
-        ``i``, by size, then by ascending row list, walked afresh each time,
-        so memory does not grow with their number."""
-        found = self._guesses.get(i)
-        if found is None:
-            atom, rows = self.ev.nodes[i], members(self.bound[i])
+        ``i``, by size, then by ascending row list, walked afresh each time
+        over its class masks cut to its bound, the only list it keeps."""
+        classes = self._classes.get(i)
+        if classes is None:
             # At most one row per y-value class: the bounded guesses the
             # correctness argument needs (at most 2^arity rows).  Any other
             # root has no y-variables, so it guesses one row or none.
+            atom = self.ev.nodes[i]
             ys = atom.ys if isinstance(atom, Inc) else ()
-            classes = self.ev.value_masks(ys).values()
-            found = ({r: k for k, ymask in enumerate(classes)
-                      for r in members(ymask)}, rows)
-            self._guesses[i] = found
-        return _walk_guesses(*found)
+            classes = self._classes[i] = [
+                c & self.bound[i] for c in self.ev.value_masks(ys).values()
+                if c & self.bound[i]]
+        return _walk_guesses(classes, self.bound[i])
 
     # -- rounds -------------------------------------------------------------
 
-    def _mirror(self, i: int) -> list[int]:
-        """Per row, the index of the row with the x-value of the inclusion
-        atom at position ``i`` copied into the y-positions; one past the
-        last row, in no bound, if that row lies outside the row space."""
-        mirror = self._mirrors.get(i)
-        if mirror is None:
-            atom, index = self.ev.nodes[i], self.ev._index
-            pairs = [(index[x], index[y]) for x, y in zip(atom.xs, atom.ys)]
-            position = {row: k for k, row in enumerate(self.ev.rows)}
-            mirror = [position.get(_mirrored(row, pairs), len(position))
-                      for row in self.ev.rows]
-            self._mirrors[i] = mirror
-        return mirror
+    def _mirror(self, i: int, r: int) -> int:
+        """The index of row ``r`` with the x-value of the inclusion atom at
+        position ``i`` copied into the y-positions; one past the last row,
+        in no bound, if that row lies outside the row space.  Found by
+        bisection, so ``ev.rows`` must be sorted, as :func:`_row_space`
+        builds them (:func:`_all_rows` order)."""
+        atom, index, rows = self.ev.nodes[i], self.ev._index, self.ev.rows
+        mirror = list(rows[r])
+        for x, y in zip(atom.xs, atom.ys):
+            mirror[index[y]] = rows[r][index[x]]
+        mirror = tuple(mirror)
+        k = bisect.bisect_left(rows, mirror)
+        return k if k < len(rows) and rows[k] == mirror else len(rows)
 
     def _repair_atom(self, i: int, rows: int) -> int:
         # One pass of the mirror rule: each row of an inclusion atom joins
@@ -307,9 +304,8 @@ class _FixpointSearch:
         inc = isinstance(self.ev.nodes[i], Inc)
         repaired = rows
         if inc and not self.ev.check_at(i, rows):
-            mirror = self._mirror(i)
             for r in _bits(rows):
-                repaired |= 1 << mirror[r]
+                repaired |= 1 << self._mirror(i, r)
         if repaired & ~self.bound[i] or (
                 inc and not self.ev.check_at(i, repaired)):
             raise _Reject

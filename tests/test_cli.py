@@ -174,24 +174,38 @@ class TestSat:
         assert report["result"]["status"] == "satisfiable"
         assert len(report["result"]["witness"]["rows"]) == 32
 
-    def test_lax_witness_within_cap_is_rechecked_by_evaluate(
+    def test_lax_witness_within_cap_is_rechecked_by_tables(
             self, files, capsys, monkeypatch):
-        # within the 16-row cap the re-check enumerates splits, so it does
-        # not depend on max_model, which built the witness
+        # within the 16-row cap the re-check builds the subteam tables, so
+        # it does not depend on max_model, which built the witness
         calls = []
-        evaluate = cli.evaluate
+        mc_bottom_up = cli.mc_bottom_up
 
         def counted(team, *args, **kwargs):
             calls.append(len(team))
-            return evaluate(team, *args, **kwargs)
+            return mc_bottom_up(team, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "evaluate", counted)
+        monkeypatch.setattr(cli, "mc_bottom_up", counted)
         f = files("f.tl", "x1 | inc(x1; x2)")
         code, report = run(capsys, "sat", f, "--algo", "fixpoint",
                            "--semantics", "lax")
         assert code == EXIT_OK
         assert len(report["result"]["witness"]["rows"]) == 4
         assert calls == [4]
+
+    @pytest.mark.parametrize("argv", [
+        ("brute", "strict"), ("brute", "lax"), ("fixpoint", "strict"),
+        ("fixpoint", "lax"), ("singleton", "strict")])
+    def test_deeply_nested_split_witness_is_rechecked(self, files, capsys,
+                                                      argv):
+        # x1 under 1100 nested splits: each engine finds the witness {1},
+        # and its re-check must not recurse once per split
+        f = files("f.tl", "(x1 | " * 1100 + "x1" + ")" * 1100)
+        algo, semantics = argv
+        code, report = run(capsys, "sat", f, "--algo", algo,
+                           "--semantics", semantics)
+        assert code == EXIT_OK
+        assert report["result"]["witness"] == {"vars": ["x1"], "rows": [[1]]}
 
     @pytest.mark.parametrize("size", [2, 32])
     def test_failed_lax_witness_recheck_is_internal_error(

@@ -413,10 +413,11 @@ class TestFixpoint:
         with pytest.raises(sat._Reject):
             repair("inc(a, b; b, c)", [0b100])
         # a mirror outside the row space lies in no bound: 10 needs 11
-        ev = TeamEvaluator(("x", "y"), [(1, 0), (0, 1)],
+        # (the rows sorted, as the mirror lookup bisects them)
+        ev = TeamEvaluator(("x", "y"), [(0, 1), (1, 0)],
                            parse_formula("inc(x; y)"), STRICT)
         with pytest.raises(sat._Reject):
-            sat._FixpointSearch(ev, 0, None, 0b11)._repair_atom(0, 0b01)
+            sat._FixpointSearch(ev, 0, None, 0b11)._repair_atom(0, 0b10)
         # disjoint tuples always repair, to at most twice the rows
         rng = random.Random(5)
         for _ in range(50):
@@ -450,26 +451,29 @@ class TestFixpoint:
         assert repairs > 100
 
     def test_guesses_in_sorted_product_order(self):
-        # The order oracle: every pick of at most one of the given rows per
-        # class, sorted by size and then by ascending row list.  The rows
-        # are all row indices or a sorted sample of them.
+        # The order oracle: every pick of at most one row of the bound per
+        # class, sorted by size and then by ascending row list.  The bound
+        # holds all rows or a sample of them, so some classes meet none.
         rng = random.Random(5)
+        outside = 0
         for k in range(600):
             count = rng.randint(1, 4)
             ycls = [rng.randrange(count) for _ in range(rng.randint(0, 10))]
-            rows = sorted(rng.sample(range(len(ycls)),
-                                     rng.randint(0, len(ycls))))
+            bound = sum(1 << r for r in rng.sample(range(len(ycls)),
+                                                   rng.randint(0, len(ycls))))
             if k % 3 == 0:
-                rows = list(range(len(ycls)))
-            classes = [sum(1 << r for r in rows if ycls[r] == c)
+                bound = (1 << len(ycls)) - 1
+            classes = [sum(1 << r for r, y in enumerate(ycls) if y == c)
                        for c in range(count)]
-            picks = [[0] + [1 << r for r in semantics._bits(m)]
+            outside += any(c and not c & bound for c in classes)
+            picks = [[0] + [1 << r for r in semantics._bits(m & bound)]
                      for m in classes]
             expected = sorted(
                 (sum(combo) for combo in itertools.product(*picks)),
                 key=lambda m: (m.bit_count(), semantics._bits(m)))
-            assert list(sat._walk_guesses(ycls, rows)) == expected, (ycls,
-                                                                     rows)
+            assert list(sat._walk_guesses(classes, bound)) == expected, (
+                ycls, bound)
+        assert outside > 50
 
     def test_guesses_turn_as_an_odometer(self, monkeypatch):
         # run() visits the product of the atoms' guesses in the order of
@@ -542,6 +546,25 @@ print(r.status.value, evaluate(r.witness, f, SemanticsMode.STRICT))
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["satisfiable", "True"]
+
+    def test_eighteen_variable_probe_fits_in_256_mb(self):
+        # The same chain over 18 variables: 2^17 rows per literal bound.
+        # The guesses walk class masks and the mirrors are looked up per
+        # row, so no guesser holds a list or dict over its bound's rows.
+        code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+from teamlog import parse_formula
+from teamlog.sat import sat_fixpoint
+from teamlog.semantics import SemanticsMode
+f = parse_formula(" & ".join(f"inc(x{k}; x{min(k + 1, 18)})"
+                             for k in range(1, 19)) + " & (x1 | !x1)")
+print(sat_fixpoint(f, SemanticsMode.STRICT, budget=1000).status.value)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["satisfiable"]
 
     def test_separating_formulas_match_strict_tables(self):
         # Strict and lax PINC differ on SEPARATING: its labels leave one
