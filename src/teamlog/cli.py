@@ -21,8 +21,7 @@ from .errors import (
     ResourceBoundError,
     TeamlogError,
 )
-from .formulas import (LogicKind, is_split_free, logic_kind, parse_formula,
-                       render_formula)
+from .formulas import is_split_free, parse_formula, render_formula
 from .modelcheck import mc, mc_bottom_up
 from .reductions import SetSplittingInstance, dep_to_indep, setsplit_to_pinc_mc
 from .sat import (
@@ -34,8 +33,7 @@ from .sat import (
     sat_singleton,
     sat_split_free,
 )
-from .semantics import (DEFAULT_ENUMERATION_CAP, SemanticsMode,
-                        TeamEvaluator, evaluate)
+from .semantics import SemanticsMode, evaluate
 from .structure import (
     build_gaifman,
     decomposition_to_object,
@@ -118,17 +116,10 @@ def _cmd_sat(args) -> int:
     witness = result.witness
     if witness is not None:
         # A split-free formula needs no split enumeration, so its re-check
-        # is linear in the witness and needs no cap.  Beyond the cap, a lax
-        # PL/PINC witness is a model iff it is its own largest model.  Else
-        # the iterative tables check it, at any depth of split nesting.
+        # is linear in the witness and needs no cap.  Else the iterative
+        # model checker checks it, at any depth of split nesting.
         if is_split_free(formula):
             holds = evaluate(witness, formula, mode, cap=len(witness))
-        elif (len(witness) > DEFAULT_ENUMERATION_CAP
-              and mode is SemanticsMode.LAX
-              and logic_kind(formula) in (LogicKind.PL, LogicKind.PINC)):
-            full = (1 << len(witness)) - 1
-            ev = TeamEvaluator(witness.domain, witness.rows, formula, mode)
-            holds = ev.max_model(full) == full
         else:
             holds = mc_bottom_up(witness, formula, mode)
         if not holds:

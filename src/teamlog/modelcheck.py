@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EnumerationCapError
-from .formulas import And, Formula, Or
+from .formulas import (And, Formula, LogicKind, Not, Or, is_split_free,
+                       logic_kind)
 from .semantics import (DEFAULT_ENUMERATION_CAP, SemanticsMode, TeamEvaluator,
                         evaluate, lattice, members)
 # Re-exported: the benchmark's tracer tests look eval_atom up on this module.
@@ -26,8 +27,9 @@ __all__ = ["SatSetTable", "build_sat_table", "mc_bottom_up", "mc"]
 @dataclass(frozen=True)
 class SatSetTable:
     """Per-node satisfying subteams, by position: bit ``m`` of ``bits[i]``
-    is set iff the subteam with row bitmask ``m`` satisfies ``nodes[i]``.
-    The sets of masks are decoded only when asked for."""
+    is set iff the subteam with row bitmask ``m`` satisfies ``nodes[i]``
+    (``0`` for the variable under a ``!``, which no table reads).  The
+    sets of masks are decoded only when asked for."""
 
     nodes: tuple[Formula, ...]
     bits: tuple[int, ...]
@@ -85,16 +87,23 @@ def build_sat_table(team: Team, f: Formula, mode: SemanticsMode) -> SatSetTable:
         elif t is Or:
             bits[i] = _join(without, bits[ev.kids[i][0]], bits[ev.kids[i][1]],
                             strict)
-        else:
+        elif i == 0 or type(ev.nodes[i - 1]) is not Not:
             bits[i] = ev.atom_bits(i)
     return SatSetTable(tuple(ev.nodes), tuple(bits))
 
 
 def mc_bottom_up(team: Team, f: Formula, mode: SemanticsMode) -> bool:
-    """Model check by table construction; agrees with :func:`evaluate`."""
-    table = build_sat_table(team, f, mode)
+    """Model check by table construction; agrees with :func:`evaluate`.
+    Past the enumeration cap, a union-closed formula (PL or PINC, lax or
+    split-free) holds iff the team is its own largest lax model; any
+    other raises :class:`EnumerationCapError`."""
     full = (1 << len(team)) - 1
-    return table.bits[0] >> full & 1 == 1
+    if (len(team) > DEFAULT_ENUMERATION_CAP
+            and logic_kind(f) in (LogicKind.PL, LogicKind.PINC)
+            and (mode is SemanticsMode.LAX or is_split_free(f))):
+        ev = TeamEvaluator(team.domain, team.rows, f, mode)
+        return ev.max_model(full) == full
+    return build_sat_table(team, f, mode).bits[0] >> full & 1 == 1
 
 
 def mc(team: Team, f: Formula, mode: SemanticsMode, algo: str = "bottomup") -> bool:

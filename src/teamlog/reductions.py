@@ -156,7 +156,6 @@ class RandomFormulaConfig:
     max_arity: int = 2
     seed: int = 0
     max_splits: Optional[int] = None
-    split_free: bool = False
 
 
 def random_formula(cfg: RandomFormulaConfig) -> Formula:
@@ -164,8 +163,6 @@ def random_formula(cfg: RandomFormulaConfig) -> Formula:
     rng = random.Random(cfg.seed)
     names = [f"x{i + 1}" for i in range(max(1, cfg.max_vars))]
     splits_left = [cfg.max_splits if cfg.max_splits is not None else 10 ** 9]
-    if cfg.split_free:
-        splits_left[0] = 0
 
     def vtuple(min_len: int = 0) -> tuple[str, ...]:
         length = rng.randint(min_len, max(min_len, cfg.max_arity))

@@ -250,35 +250,26 @@ class TeamEvaluator:
         """The largest subteam of ``mask`` that satisfies the PL or PINC
         node at position ``i`` under lax semantics, whatever :attr:`mode` says.
 
-        Lax PINC is union closed, so that subteam exists; it is a greatest
-        fixpoint.  A literal or inclusion atom drops the ``a`` of each
-        constraint while the subteam meets ``a`` and misses ``c``.  A split
-        takes the union of its sides' largest models.  A conjunction hands
-        the subteam through its :func:`conjuncts` in turn until each has
-        left it unchanged.  The walk keeps its own stack; each visit of a
-        node with a nonempty subteam spends one unit of ``budget`` (no limit
-        if ``None``), and :class:`ResourceBoundError` says it ran out.
+        Lax PINC is union closed, so that subteam exists: a greatest
+        fixpoint.  An atom drops the ``a`` of each constraint while the
+        subteam meets ``a`` and misses ``c``; a split or conjunction is a
+        :meth:`_max_walk` on one stack.  Each visit of a node with a
+        nonempty subteam spends one unit of ``budget`` (no limit if
+        ``None``); :class:`ResourceBoundError` says it ran out.
         """
-        nodes, kids = self.nodes, self.kids
+        nodes = self.nodes
         left = math.inf if budget is None else budget
-        # A conjunction's frame is [conjuncts, next one, calls left that
-        # must change nothing, subteam]; a split's is [right kid, subteam,
-        # left kid's answer or None].
-        stack: list[list] = []
+        stack = []
         while True:
             if mask:  # the empty team satisfies every node
                 left -= 1
                 if left < 0:
                     raise ResourceBoundError("max_model budget exhausted")
                 t = type(nodes[i])
-                if t is And:
-                    conj = self._conjuncts_at(i)
-                    stack.append([conj, 0, len(conj), mask])
-                    i = conj[0]
-                    continue
-                if t is Or:
-                    stack.append([kids[i][1], mask, None])
-                    i = kids[i][0]
+                if t is And or t is Or:
+                    send = self._max_walk(i, mask).send
+                    stack.append(send)
+                    i, mask = send(None)
                     continue
                 if t is Dep or t is Indep:
                     raise EngineNotApplicableError(
@@ -290,28 +281,36 @@ class TeamEvaluator:
                     for a, _, c in cons:
                         if mask & a and not mask & c:
                             mask &= ~a
-            # Hand ``mask`` back until a frame makes its next call.
-            while stack:
-                frame = stack[-1]
-                if type(frame[0]) is list:
-                    conj, k, quiet, sub = frame
-                    # A conjunct's answer is its own fixpoint, so after a
-                    # change only the other conjuncts remain to be asked.
-                    quiet = quiet - 1 if mask == sub else len(conj) - 1
-                    if quiet and mask:
-                        k = (k + 1) % len(conj)
-                        frame[1:] = k, quiet, mask
-                        i = conj[k]
-                        break
-                elif frame[2] is None and mask != frame[1]:
-                    frame[2] = mask
-                    i, mask = frame[0], frame[1]
+            while stack:  # hand ``mask`` back until a walk asks again
+                try:
+                    i, mask = stack[-1](mask)
                     break
-                elif frame[2] is not None:
-                    mask |= frame[2]
-                stack.pop()
+                except StopIteration as done:
+                    stack.pop()
+                    mask = done.value
             else:
                 return mask
+
+    def _max_walk(self, i: int, mask: int):
+        """:meth:`max_model` of the split or conjunction at ``i``: yields
+        each ``(kid, subteam)`` call and is sent the kid's answer.  A split
+        unites its kids' answers, skipping the right kid when the left keeps
+        all of ``mask``.  A conjunction cycles through its :func:`conjuncts`
+        until each leaves the subteam unchanged; an answer is its conjunct's
+        own fixpoint, so after a change only the others are asked again."""
+        if type(self.nodes[i]) is Or:
+            left, right = self.kids[i]
+            got = yield left, mask
+            if got != mask:
+                got |= yield right, mask
+            return got
+        conj = self._conjuncts_at(i)
+        k, quiet = 0, len(conj)
+        while quiet and mask:
+            got = yield conj[k], mask
+            quiet = quiet - 1 if got == mask else len(conj) - 1
+            k, mask = (k + 1) % len(conj), got
+        return mask
 
     def check_at(self, i: int, mask: int) -> bool:
         """Whether the subteam ``mask`` satisfies the node at position ``i``."""

@@ -9,7 +9,7 @@ across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import TeamFormatError, UnknownVariableError
 
@@ -78,10 +78,6 @@ class Team:
             raise UnknownVariableError(
                 f"variable {var!r} not in team domain {self.domain}"
             ) from None
-
-    def assignments(self) -> Iterator[dict[str, int]]:
-        for row in self.rows:
-            yield dict(zip(self.domain, row))
 
     def subteam(self, rows: Iterable[Row]) -> "Team":
         return Team(self.domain, tuple(rows))

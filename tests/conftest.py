@@ -139,6 +139,40 @@ def reference_atom(team: Team, atom) -> bool:
     raise TypeError(f"not an atomic formula: {atom!r}")
 
 
+def reference_lax_max(team: Team, f) -> frozenset:
+    """The rows of the largest subteam of ``team`` that satisfies the PL or
+    PINC formula ``f`` under lax semantics, from the definition: a literal
+    keeps the rows it holds on; an inclusion atom drops the rows whose
+    x-value no kept row has as y-value until none is left to drop; a split
+    unites its sides' largest models; a conjunction passes the rows through
+    both conjuncts until they change nothing."""
+    def best(node, rows: frozenset) -> frozenset:
+        if isinstance(node, Or):
+            return best(node.left, rows) | best(node.right, rows)
+        if isinstance(node, And):
+            while True:
+                kept = best(node.right, best(node.left, rows))
+                if kept == rows:
+                    return rows
+                rows = kept
+        if isinstance(node, Inc):
+            xi = [team.index(v) for v in node.xs]
+            yi = [team.index(v) for v in node.ys]
+            while True:
+                ys = {tuple(r[i] for i in yi) for r in rows}
+                kept = frozenset(r for r in rows
+                                 if tuple(r[i] for i in xi) in ys)
+                if kept == rows:
+                    return rows
+                rows = kept
+        if isinstance(node, (Dep, Indep)):
+            raise TypeError(f"not union closed: {node!r}")
+        return frozenset(r for r in rows
+                         if reference_atom(Team(team.domain, (r,)), node))
+
+    return best(f, frozenset(team.rows))
+
+
 def reference_singleton(f) -> SatResult:
     """Singleton SAT by one evaluator call per assignment, in the binary
     order of ``_all_rows``: the first satisfying row is the witness."""

@@ -122,7 +122,7 @@ def test_criterion_02_split_free_solver(capsys):
     for seed in range(total):
         f = random_formula(RandomFormulaConfig(
             logic=LogicKind.PINC, max_vars=4, max_nodes=9, seed=seed,
-            split_free=True,
+            max_splits=0,
         ))
         expected = sat_brute(f, STRICT)
         got = sat_split_free(f)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -23,7 +24,8 @@ from teamlog.cli import (
 from teamlog.reductions import RandomFormulaConfig, random_formula
 from teamlog.sat import SatResult, SatStatus
 
-from conftest import EXAMPLE_FORMULA_TEXT, EXAMPLE_TEAM_TEXT, child_env
+from conftest import (EXAMPLE_FORMULA_TEXT, EXAMPLE_TEAM_TEXT, child_env,
+                      reference_lax_max)
 
 
 @pytest.fixture
@@ -84,6 +86,27 @@ class TestMc:
         f = files("f.tl", "a | b")
         t = files("t.team", "a b c d e\n" + rows + "\n")
         code, _ = run(capsys, "mc", f, t)
+        assert code == EXIT_RESOURCE
+
+    @pytest.mark.parametrize("text", [
+        "(inc(x1; x2) & x3) | (!x3 & inc(x4, x5; x5, x4))",
+        "(x1 & x2) | (inc(x3, x4; x5, x5) & (!x10 | inc(x9; x10)))"],
+        ids=["holds", "fails"])
+    def test_lax_team_past_the_cap(self, files, capsys, text):
+        # 1000 of the 1024 rows over 10 variables: a lax PINC team holds
+        # iff it is its own largest lax model; strict splits are refused
+        vs = tuple(f"x{k}" for k in range(1, 11))
+        rows = random.Random(text).sample(range(1 << 10), 1000)
+        team = Team(vs, tuple(tuple(r >> 9 - k & 1 for k in range(10))
+                              for r in rows))
+        formula = cli.parse_formula(text)
+        want = reference_lax_max(team, formula) == frozenset(team.rows)
+        f = files("f.tl", text)
+        t = files("t.team", cli.render_team(team))
+        code, report = run(capsys, "mc", f, t, "--semantics", "lax")
+        assert code == (EXIT_OK if want else EXIT_NEGATIVE)
+        assert report["result"] == {"satisfied": want}
+        code, _ = run(capsys, "mc", f, t, "--semantics", "strict")
         assert code == EXIT_RESOURCE
 
     def test_crash_is_internal_error_not_negative(self, files, capsys,

@@ -31,9 +31,10 @@ from teamlog.reductions import (
     setsplit_to_pinc_mc,
 )
 from teamlog.semantics import SemanticsMode, members
-from teamlog.formulas import node_array, subformulas
+from teamlog.formulas import node_array, split_count, subformulas
+from teamlog.semantics import TeamEvaluator
 
-from conftest import all_teams, random_team, reference_atom
+from conftest import all_teams, random_team, reference_atom, reference_lax_max
 
 STRICT = SemanticsMode.STRICT
 LAX = SemanticsMode.LAX
@@ -59,6 +60,16 @@ def reference_table(team, f, mode):
             )
         sets[id(node)] = masks
     return sets
+
+
+def assert_matches_reference(table, ref, *context):
+    """Each position of ``table`` holds its node's reference masks, except
+    the variable under a ``!``, which no table reads: that one is empty."""
+    assert len(table.entries) == len(ref)
+    for i, (node, masks) in enumerate(table.entries):
+        negated = i > 0 and isinstance(table.nodes[i - 1], Not)
+        want = frozenset() if negated else ref[id(node)]
+        assert masks == want, (*context, node)
 
 
 class TestBottomUp:
@@ -142,11 +153,9 @@ class TestTableOracle:
             t = random_team(rng, domain, max_rows=size, min_rows=size)
             for mode in (STRICT, LAX):
                 table = build_sat_table(t, f, mode)
-                ref = reference_table(t, f, mode)
-                assert len(table.entries) == len(ref)
-                for node, masks in table.entries:
-                    assert masks == ref[id(node)], (seed, mode, node, t.rows)
-                    checked += 1
+                assert_matches_reference(table, reference_table(t, f, mode),
+                                         seed, mode, t.rows)
+                checked += len(table.entries)
             for node in subformulas(f):
                 seen.add(type(node))
                 if isinstance(node, Indep) and node.zs:
@@ -181,10 +190,7 @@ class TestLargeTableOracle:
         t = random_team(random.Random(size), ("x1", "x2", "x3", "x4"),
                         max_rows=size, min_rows=size)
         table = build_sat_table(t, f, mode)
-        ref = reference_table(t, f, mode)
-        assert len(table.entries) == len(ref)
-        for node, masks in table.entries:
-            assert masks == ref[id(node)], (node, t.rows)
+        assert_matches_reference(table, reference_table(t, f, mode), t.rows)
         if text == "T | T":
             assert len(members(table.bits[0])) == 1 << size
 
@@ -197,6 +203,55 @@ class TestLargeTableOracle:
             assert mc_bottom_up(example_team, example_formula, mode)
             with pytest.raises(AssertionError):
                 build_sat_table(example_team, example_formula, mode).entries
+
+
+class TestPastTheCap:
+    """Past 16 rows a union-closed instance (PL or PINC, lax or split-free)
+    holds iff the team is its own largest lax model; every other one is
+    refused, and within 16 rows the tables answer."""
+
+    def test_union_closed_matches_reference(self):
+        domain = tuple(f"x{k}" for k in range(1, 7))
+        seen = set()
+        for seed in range(600):
+            rng = random.Random(seed)
+            split_free = seed % 3 == 2
+            f = random_formula(RandomFormulaConfig(
+                logic=(LogicKind.PL, LogicKind.PINC)[seed % 2], max_vars=6,
+                max_nodes=7 + seed % 24, max_arity=3, seed=seed,
+                max_splits=0 if split_free else 1 + seed % 4))
+            mode = (STRICT, LAX)[seed // 3 % 2] if split_free else LAX
+            t = random_team(rng, domain, max_rows=64, min_rows=17)
+            kept = reference_lax_max(t, f)
+            holds = kept == frozenset(t.rows)
+            assert mc_bottom_up(t, f, mode) is holds, (seed, mode)
+            if len(kept) > 16 and not holds:
+                model = Team(domain, tuple(sorted(kept)))
+                assert mc_bottom_up(model, f, mode), (seed, mode)
+                holds = True
+            seen.add((mode, split_count(f) > 0, holds))
+        assert seen >= {(LAX, True, True), (LAX, True, False),
+                        (STRICT, False, True), (STRICT, False, False),
+                        (LAX, False, True), (LAX, False, False)}
+
+    @pytest.mark.parametrize("text, mode", [
+        ("x1 | inc(x1; x2)", STRICT), ("x1 | x2", STRICT),
+        ("=(x1; x2)", LAX), ("=(x1; x2) | x1", STRICT),
+        ("ind(x1; x2 |)", LAX), ("ind(x1; x2 |) & x1", STRICT)])
+    def test_others_are_refused(self, text, mode):
+        t = random_team(random.Random(1), ("x1", "x2", "x3", "x4", "x5"),
+                        max_rows=17, min_rows=17)
+        with pytest.raises(EnumerationCapError):
+            mc_bottom_up(t, parse_formula(text), mode)
+
+    def test_tables_within_the_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("max_model within the cap")
+        monkeypatch.setattr(TeamEvaluator, "max_model", refuse)
+        f = parse_formula("x1 | inc(x1; x2)")
+        t = random_team(random.Random(2), ("x1", "x2", "x3", "x4", "x5"),
+                        max_rows=16, min_rows=16)
+        assert mc_bottom_up(t, f, LAX) is evaluate(t, f, LAX)
 
 
 class TestDispatch:

@@ -220,7 +220,7 @@ class TestRandomFormula:
     def test_split_free_option(self):
         for seed in range(30):
             f = random_formula(RandomFormulaConfig(
-                logic=LogicKind.PINC, seed=seed, split_free=True,
+                logic=LogicKind.PINC, seed=seed, max_splits=0,
                 max_nodes=11,
             ))
             assert split_count(f) == 0

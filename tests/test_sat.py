@@ -741,7 +741,7 @@ class TestSplitFree:
     def test_matches_oracle(self, seed):
         f = random_formula(RandomFormulaConfig(
             logic=LogicKind.PINC, max_vars=3, max_nodes=9, seed=seed,
-            split_free=True,
+            max_splits=0,
         ))
         expected = sat_brute(f, STRICT)
         got = sat_split_free(f)
@@ -756,7 +756,7 @@ def test_split_free_witness_is_union_of_models():
     for seed in range(200):
         f = random_formula(RandomFormulaConfig(
             logic=LogicKind.PINC, max_vars=3, max_nodes=9, seed=seed,
-            split_free=True,
+            max_splits=0,
         ))
         vs = variables(f)
         rows = list(itertools.product((0, 1), repeat=len(vs)))

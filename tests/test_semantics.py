@@ -280,6 +280,20 @@ class TestMaxModel:
             ev.max_model(0b11, budget=2 * depth)
         assert ev.max_model(0, budget=0) == 0  # the empty team visits nothing
 
+    def test_conjunction_budget(self):
+        # Over all 8 rows, the conjuncts prune in turn.  Visits: the & once;
+        # then inc(x1; x2) and inc(x2; x3) keep all rows and !x3 drops the
+        # x3 rows; inc(x1; x2) keeps them, inc(x2; x3) drops the x2 rows and
+        # !x3 keeps the rest; inc(x1; x2) drops the x1 rows, and the other
+        # two keep row 000: 1 + 9 visits.
+        f = parse_formula("inc(x1; x2) & inc(x2; x3) & !x3")
+        rows = [(v >> 2, v >> 1 & 1, v & 1) for v in range(8)]
+        ev = TeamEvaluator(("x1", "x2", "x3"), rows, f, LAX)
+        assert ev.max_model(0xFF) == 0b1
+        assert ev.max_model(0xFF, budget=10) == 0b1
+        with pytest.raises(ResourceBoundError):
+            ev.max_model(0xFF, budget=9)
+
     def test_rejects_dependence_atoms(self):
         ev = TeamEvaluator(("x", "y"), [(0, 0), (0, 1)],
                            parse_formula("x | =(x; y)"), LAX)
