@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamlog import LogicKind, Team, cli, render_formula, sat
+from teamlog import (LogicKind, Team, cli, parse_formula, render_formula,
+                     render_team, sat)
 from teamlog.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -99,10 +100,10 @@ class TestMc:
         rows = random.Random(text).sample(range(1 << 10), 1000)
         team = Team(vs, tuple(tuple(r >> 9 - k & 1 for k in range(10))
                               for r in rows))
-        formula = cli.parse_formula(text)
+        formula = parse_formula(text)
         want = reference_lax_max(team, formula) == frozenset(team.rows)
         f = files("f.tl", text)
-        t = files("t.team", cli.render_team(team))
+        t = files("t.team", render_team(team))
         code, report = run(capsys, "mc", f, t, "--semantics", "lax")
         assert code == (EXIT_OK if want else EXIT_NEGATIVE)
         assert report["result"] == {"satisfied": want}

@@ -30,9 +30,8 @@ from teamlog.reductions import (
     random_formula,
     setsplit_to_pinc_mc,
 )
-from teamlog.semantics import SemanticsMode, members
+from teamlog.semantics import SemanticsMode, TeamEvaluator, members
 from teamlog.formulas import node_array, split_count, subformulas
-from teamlog.semantics import TeamEvaluator
 
 from conftest import all_teams, random_team, reference_atom, reference_lax_max
 
