@@ -21,10 +21,11 @@ It also gives ``src_lines``: the lines of each ``src/**/*.py`` module of
 both commits, their totals, and the net change (see :func:`src_lines`).
 Each entry keeps every run's metrics and ``calibration_ms`` (the time of
 a fixed Python loop, which shows how loaded the machine was), and per
-metric the median and quartiles of each side plus the number of pairs
-the change won (ties count for neither).  Each end-to-end metric also
-gets a ``verdict`` against its relative ``bound`` in ``BENCHMARK.json``
-(see :func:`verdict`).
+metric the median and quartiles of each side, the change of the median
+in percent (``change_pct``) and the number of pairs the change won (ties
+count for neither).  Each end-to-end metric also gets a ``verdict``
+against its relative ``bound`` in ``BENCHMARK.json`` (see
+:func:`verdict`).
 """
 
 from __future__ import annotations
@@ -116,8 +117,10 @@ def verdict(parent: list[float], change: list[float], better: str,
 
 def _summary(pairs: list[dict], better: dict[str, str],
              bounds: dict[str, float]) -> dict:
-    """Per metric: each side's median and quartiles, the pairs won, and
-    for an end-to-end metric its :func:`verdict`."""
+    """Per metric: each side's median and quartiles, ``change_pct`` (the
+    change's median against the parent's, in percent of the parent's;
+    None when that is 0), the pairs won, and for an end-to-end metric its
+    :func:`verdict`."""
     done = [p for p in pairs if all("metrics" in p[s] for s in SIDES)]
     out = {}
     names = sorted({k for p in done for s in SIDES for k in p[s]["metrics"]})
@@ -129,6 +132,9 @@ def _summary(pairs: list[dict], better: dict[str, str],
             continue
         entry = {side: _spread([pair[i] for pair in both])
                  for i, side in enumerate(SIDES)}
+        base = entry["parent"]["median"]
+        entry["change_pct"] = ((entry["change"]["median"] - base) / base * 100
+                               if base else None)
         entry["pairs"] = len(both)
         if name in better:
             sign = 1 if better[name] == "higher" else -1

@@ -221,13 +221,18 @@ def formula_size(f: Formula) -> int:
     return len(subformulas(f))
 
 
-def formula_depth(f: Formula) -> int:
-    """Length in edges of the longest root-to-leaf path."""
-    _, kids = node_array(f)
+def node_depth(kids: list[tuple[int, ...]]) -> int:
+    """Length in edges of the longest root-to-leaf path of the node array
+    whose child positions are ``kids``."""
     depth = [0] * len(kids)
     for i in range(len(kids) - 1, -1, -1):
         depth[i] = max((depth[k] + 1 for k in kids[i]), default=0)
     return depth[0]
+
+
+def formula_depth(f: Formula) -> int:
+    """Length in edges of the longest root-to-leaf path."""
+    return node_depth(node_array(f)[1])
 
 
 def split_count(f: Formula) -> int:

@@ -25,12 +25,10 @@ from .formulas import (
     Or,
     VarRef,
     atom_variables,
-    atoms,
-    formula_depth,
-    formula_size,
     node_array,
+    node_depth,
     render_formula,
-    split_count,
+    variable_names,
     variables,
 )
 from .teams import Team
@@ -241,16 +239,10 @@ def _connected(adjacency: list[set[int]], nodes: set[int]) -> bool:
     return len(seen) == len(nodes)
 
 
-def _fill_in(work: dict[str, set[str]], ns: set[str]) -> int:
-    """The number of edges missing between the vertices ``ns``."""
-    d = len(ns)
-    return (d * (d - 1) - sum(len(work[a] & ns) for a in ns)) // 2
-
-
-def _eliminate_with_fill(work: dict[str, set[str]], fill: dict[str, int],
-                         v: str, ns: set[str]) -> set[str]:
-    """Eliminate ``v``, already taken out of ``work`` with neighbours ``ns``,
-    keeping ``fill`` exact; return the vertices whose fill or degree moved.
+def _eliminate_with_fill(work: list[set[int]], fill: list[int], v: int,
+                         ns: set[int]) -> set[int]:
+    """Eliminate ``v``, whose neighbours are ``ns``, keeping ``fill``
+    exact; return the vertices whose fill or degree moved.
 
     Dropping ``v`` from a neighbour ``a`` removes the missing edges from
     ``v`` to the rest of ``a``'s neighbourhood.  A fill edge ``ab`` adds
@@ -295,64 +287,94 @@ def _eliminate(adj: dict, method: str, order: Optional[list[str]] = None
     The next vertex is the next one of ``order`` when that is given, or
     else the one of least fill (``min_fill``) or of least degree
     (``min_degree``), with ties broken by least degree and then by
-    insertion order.  Both heuristics pop a heap of ``(fill, degree,
-    index)`` or ``(degree, index)`` keys, pushing a fresh key for each
-    vertex whose key moved and skipping keys that are out of date; the
-    heap is rebuilt from the current keys once it holds more than twice
-    as many keys as vertices remain.  Fill counts are computed once and
-    then kept exact by :func:`_eliminate_with_fill`.
+    insertion order.  Vertex ``i`` is the ``i``-th key of ``adj``, and
+    all choices are made on these ints.  A heuristic pops a heap of int
+    keys, ``(fill * n + degree) * n + i`` or ``degree * n + i`` on ``n``
+    vertices, which order as the tuples ``(fill, degree, i)`` and
+    ``(degree, i)``.  ``key[i]`` is vertex ``i``'s current key (-1 once it
+    is gone): a moved key is pushed afresh, a popped key that is not
+    current is skipped, and the heap is cut down to the current keys once
+    it holds more than twice as many keys as vertices remain.  Fill is
+    counted with one intersection per edge and then kept exact by
+    :func:`_eliminate_with_fill`.
 
     A vertex's bag is itself plus its remaining neighbours; the bag's tree
     edge goes to the bag of the earliest-eliminated of those neighbours,
     and a bag with none (the last of a connected component) is attached
     to the final bag.
     """
-    work = {v: set(ns) for v, ns in adj.items()}
-    fill = None
+    names = list(adj)
+    n = len(names)
+    label = {v: i for i, v in enumerate(names)}
+    work = [{label[u] for u in ns} for ns in adj.values()]
+    steps: list[tuple[int, set[int]]] = []
     if order is not None:
-        pending = iter(order)
-        pick = lambda touched: next(pending)
+        for v in map(label.__getitem__, order):
+            ns = work[v]
+            for a in ns:
+                wa = work[a]
+                wa |= ns
+                wa.discard(a)
+                wa.discard(v)
+            steps.append((v, ns))
     else:
-        index = {v: i for i, v in enumerate(work)}
+        fill = None
         if method == "min_fill":
-            fill = {v: _fill_in(work, ns) for v, ns in work.items()}
-            key = lambda a: (fill[a], len(work[a]), index[a], a)
+            # Twice a vertex's fill is d(d - 1) less the number of common
+            # neighbours summed over its d edges.
+            common = [0] * n
+            for u, wu in enumerate(work):
+                for v in wu:
+                    if v > u:
+                        c = len(wu & work[v])
+                        common[u] += c
+                        common[v] += c
+            fill = [(len(ns) * (len(ns) - 1) - c) // 2
+                    for ns, c in zip(work, common)]
+            nn = n * n
+            key = [fill[v] * nn + len(ns) * n + v for v, ns in enumerate(work)]
         elif method == "min_degree":
-            key = lambda a: (len(work[a]), index[a], a)
+            key = [len(ns) * n + v for v, ns in enumerate(work)]
         else:
             raise ValueError(f"unknown treewidth heuristic {method!r}")
-        heap = [key(v) for v in work]
+        heap = key[:]
         heapify(heap)
-
-        def pick(touched):
-            for a in touched:
-                heappush(heap, key(a))
-            if len(heap) > 2 * len(work):
-                heap[:] = [key(v) for v in work]
+        for left in range(n - 1, -1, -1):
+            k = heappop(heap)
+            while key[k % n] != k:
+                k = heappop(heap)
+            v = k % n
+            key[v] = -1
+            ns = work[v]
+            if fill is None:
+                for a in ns:
+                    wa = work[a]
+                    wa |= ns
+                    wa.discard(a)
+                    wa.discard(v)
+                    k = len(wa) * n + a
+                    if key[a] != k:
+                        key[a] = k
+                        heappush(heap, k)
+            else:
+                for a in _eliminate_with_fill(work, fill, v, ns):
+                    k = fill[a] * nn + len(work[a]) * n + a
+                    if key[a] != k:
+                        key[a] = k
+                        heappush(heap, k)
+            steps.append((v, ns))
+            if len(heap) > 2 * left:
+                heap = [k for k in heap if key[k % n] == k]
                 heapify(heap)
-            while True:
-                entry = heappop(heap)
-                v = entry[-1]
-                if v in work and key(v) == entry:
-                    return v
-    steps = []
-    touched = ()
-    while work:
-        v = pick(touched)
-        ns = work.pop(v)
-        if fill is None:
-            for a in ns:
-                work[a] |= ns
-                work[a] -= {a, v}
-            touched = ns
-        else:
-            touched = _eliminate_with_fill(work, fill, v, ns)
-        steps.append((v, ns))
-    pos = {v: i for i, (v, _) in enumerate(steps)}
-    last = len(steps) - 1
-    edges = tuple((i, min((pos[u] for u in ns), default=last))
+    pos = [0] * n
+    for i, (v, _) in enumerate(steps):
+        pos[v] = i
+    edges = tuple((i, min(map(pos.__getitem__, ns), default=n - 1))
                   for i, (_, ns) in enumerate(steps[:-1]))
-    return TreeDecomposition(tuple(frozenset(ns | {v}) for v, ns in steps), edges)
+    # A bag built from a set is a third smaller than one built from a list.
+    bags = tuple(frozenset({names[v], *map(names.__getitem__, ns)})
+                 for v, ns in steps)
+    return TreeDecomposition(bags, edges)
 
 
 def treewidth_upper(g: GaifmanGraph, method: str = "min_fill"
@@ -364,13 +386,18 @@ def treewidth_upper(g: GaifmanGraph, method: str = "min_fill"
 
 def treewidth_exact(g: GaifmanGraph, max_vertices: int = 16
                     ) -> tuple[int, TreeDecomposition]:
-    """Exact treewidth by branch-and-bound over elimination orders."""
+    """Exact treewidth by branch-and-bound over elimination orders.
+
+    The search starts from the min-fill decomposition and keeps it unless
+    it finds a narrower order.
+    """
     n = len(g)
     if n > max_vertices:
         raise ResourceBoundError(
             f"graph has {n} vertices; exact treewidth capped at {max_vertices}"
         )
-    best = {"width": _eliminate(g.adj, "min_fill").width, "order": None}
+    decomp = _eliminate(g.adj, "min_fill")
+    best = {"width": decomp.width, "order": None}
     visited: dict[frozenset[str], int] = {}
 
     def search(adj: dict[str, set[str]], current_max: int, order: list[str]):
@@ -423,7 +450,8 @@ def treewidth_exact(g: GaifmanGraph, max_vertices: int = 16
                 branch(v)
 
     search({v: set(ns) for v, ns in g.adj.items()}, 0, [])
-    decomp = _eliminate(g.adj, "min_fill", best["order"])
+    if best["order"] is not None:  # narrower than min-fill
+        decomp = _eliminate(g.adj, "min_fill", best["order"])
     return decomp.width, decomp
 
 
@@ -463,7 +491,9 @@ def parameters(f: Formula, team: Optional[Team] = None,
     vertices it silently falls back to the heuristic bound, with the
     ``*_exact`` flags recording which one was used.
     """
-    arity = max((_atom_arity(a) for a in atoms(f)), default=0)
+    nodes, kids = node_array(f)
+    arity = max((_atom_arity(g) for g in nodes if type(g) in _DEP_ATOMS),
+                default=0)
 
     def tw(graph: GaifmanGraph) -> tuple[int, bool]:
         if exact_tw:
@@ -477,12 +507,12 @@ def parameters(f: Formula, team: Optional[Team] = None,
 
     graph = build_gaifman(f)
     ftw, ftw_exact = tw(graph)
-    fvars = variables(f)
+    fvars = tuple(sorted(variable_names(nodes)))
     report = {
-        "formula_size": formula_size(f),
-        "formula_depth": formula_depth(f),
+        "formula_size": len(nodes),
+        "formula_depth": node_depth(kids),
         "num_variables": len(fvars),
-        "num_splits": split_count(f),
+        "num_splits": sum(type(g) is Or for g in nodes),
         "arity": arity,
         "formula_tw": ftw,
         "formula_tw_exact": ftw_exact,

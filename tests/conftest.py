@@ -27,7 +27,7 @@ from teamlog import (
 from teamlog.formulas import And, Or, atom_variables, render_formula
 from teamlog.sat import SatResult, SatStatus, _all_rows
 from teamlog.semantics import SemanticsMode, TeamEvaluator
-from teamlog.structure import GaifmanGraph, TreeDecomposition, _eliminate
+from teamlog.structure import GaifmanGraph, TreeDecomposition
 
 # A nested-split PDL formula with a known shape: 10 AST nodes, depth 3,
 # 2 splits, 4 variables, and Gaifman-graph treewidth exactly 2.
@@ -204,9 +204,9 @@ def reference_brute(f, mode: SemanticsMode, max_vars: int = 4,
 
 
 # ---------------------------------------------------------------------------
-# Structure references: the recursive Gaifman walk and the rescanning
-# min-fill that the iterative builder and the incremental fill counts
-# replaced
+# Structure references: the recursive Gaifman walk, and the rescanning
+# min-fill and min-degree eliminations that the iterative builder and the
+# heap of incremental keys replaced
 
 def reference_gaifman(f, team=None) -> GaifmanGraph:
     """The Gaifman graph built by a recursive walk of the formula."""
@@ -275,15 +275,37 @@ def reference_min_fill_vertex(adj: dict[str, set[str]]) -> str:
     return best
 
 
-def reference_min_fill(adj: dict[str, set[str]]) -> TreeDecomposition:
-    """The min-fill decomposition, rescanning every vertex at each step."""
+def reference_min_degree_vertex(adj: dict[str, set[str]]) -> str:
+    """The vertex of least degree, the first inserted of those that tie."""
+    return min(adj, key=lambda v: len(adj[v]))
+
+
+def reference_elimination(adj: dict[str, set[str]], pick) -> TreeDecomposition:
+    """The decomposition from eliminating, in turn, the vertex that
+    ``pick`` chooses from the remaining graph.  A vertex's bag is itself
+    plus its remaining neighbours; the bag's tree edge goes to the bag of
+    the earliest-eliminated of those neighbours, or else to the last bag."""
     work = {v: set(ns) for v, ns in adj.items()}
-    order = []
+    steps = []
     while work:
-        v = reference_min_fill_vertex(work)
+        v = pick(work)
         ns = work.pop(v)
         for a in ns:
             work[a] |= ns
             work[a] -= {a, v}
-        order.append(v)
-    return _eliminate(adj, "min_fill", order)
+        steps.append((v, ns))
+    pos = {v: i for i, (v, _) in enumerate(steps)}
+    edges = tuple((i, min((pos[u] for u in ns), default=len(steps) - 1))
+                  for i, (_, ns) in enumerate(steps[:-1]))
+    return TreeDecomposition(tuple(frozenset(ns | {v}) for v, ns in steps),
+                             edges)
+
+
+def reference_min_fill(adj: dict[str, set[str]]) -> TreeDecomposition:
+    """The min-fill decomposition, rescanning every vertex at each step."""
+    return reference_elimination(adj, reference_min_fill_vertex)
+
+
+def reference_min_degree(adj: dict[str, set[str]]) -> TreeDecomposition:
+    """The min-degree decomposition, rescanning every vertex at each step."""
+    return reference_elimination(adj, reference_min_degree_vertex)

@@ -62,6 +62,16 @@ def test_summary_labels_only_end_to_end_metrics():
     assert "verdict" not in out["sat.brute.calls"]
 
 
+def test_summary_gives_the_median_change_in_percent():
+    pairs = [{"parent": {"metrics": {"ms": a, "zero": 0.0}},
+              "change": {"metrics": {"ms": b, "zero": 1.0}}}
+             for a, b in ((10.0, 7.0), (12.0, 9.0), (8.0, 8.0))]
+    out = bench_pairs._summary(pairs, {"ms": "lower"}, {})
+    # medians 10 and 8
+    assert out["ms"]["change_pct"] == pytest.approx(-20.0)
+    assert out["zero"]["change_pct"] is None
+
+
 def test_src_lines_counts_each_module(tmp_path):
     pkg = tmp_path / "src" / "pkg"
     (pkg / "sub").mkdir(parents=True)

@@ -30,6 +30,7 @@ from conftest import (
     child_env,
     random_team,
     reference_gaifman,
+    reference_min_degree,
     reference_min_fill,
 )
 
@@ -357,6 +358,24 @@ class TestTreewidth:
         assert treewidth_exact(g) == (-1, TreeDecomposition((), ()))
         assert treewidth_upper(g)[0] == -1
 
+    def test_exact_keeps_the_min_fill_decomposition(self, monkeypatch):
+        # min-fill runs once; only a narrower order found by the search
+        # is run through the elimination routine a second time
+        rng = random.Random(13)
+        graphs = [random_graph(rng, rng.randint(1, 14), rng.random())
+                  for _ in range(100)]
+        calls = []
+        eliminate = structure._eliminate
+        monkeypatch.setattr(structure, "_eliminate",
+                            lambda *args: calls.append(args) or eliminate(*args))
+        for g in graphs:
+            calls.clear()
+            width, decomp = treewidth_exact(g)
+            min_fill = treewidth_upper(g)[1]
+            assert len(calls) == (1 if width == min_fill.width else 2) + 1
+            if width == min_fill.width:
+                assert decomp == min_fill
+
     def test_random_graphs_heuristics_validate(self):
         rng = random.Random(12)
         for seed in range(30):
@@ -376,13 +395,15 @@ class TestTreewidth:
                     assert w >= exact
 
 
-class TestMinFillOracle:
-    """The incremental min-fill against the rescan it replaced: the same
-    vertex choices, so the same decomposition."""
+class _HeuristicOracle:
+    """A heuristic of ``treewidth_upper`` against a rescan of every vertex
+    at each step: the same vertex choices, so the same decomposition."""
+
+    method = reference = None
 
     def check(self, g):
-        width, decomp = treewidth_upper(g)
-        assert decomp == reference_min_fill(g.adj)
+        width, decomp = treewidth_upper(g, self.method)
+        assert decomp == self.reference(g.adj)
         assert validate_decomposition(g, decomp).valid
 
     def test_structured_graphs(self):
@@ -408,6 +429,10 @@ class TestMinFillOracle:
     def test_deep_chain(self):
         self.check(build_gaifman(parse_formula(dep_chain(1100))))
 
+
+class TestMinFillOracle(_HeuristicOracle):
+    method, reference = "min_fill", staticmethod(reference_min_fill)
+
     def test_exact_treewidth_keeps_its_answers(self, monkeypatch):
         # treewidth_exact starts its search from the min-fill width
         rng = random.Random(11)
@@ -424,6 +449,10 @@ class TestMinFillOracle:
 
         monkeypatch.setattr(structure, "_eliminate", rescanning)
         assert [treewidth_exact(g) for g in graphs] == found
+
+
+class TestMinDegreeOracle(_HeuristicOracle):
+    method, reference = "min_degree", staticmethod(reference_min_degree)
 
 
 def test_no_networkx_needed():
