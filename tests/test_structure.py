@@ -369,12 +369,13 @@ class TestTreewidth:
         monkeypatch.setattr(structure, "_eliminate",
                             lambda *args: calls.append(args) or eliminate(*args))
         for g in graphs:
+            min_fill = treewidth_upper(g)[1]
             calls.clear()
             width, decomp = treewidth_exact(g)
-            min_fill = treewidth_upper(g)[1]
-            assert len(calls) == (1 if width == min_fill.width else 2) + 1
             if width == min_fill.width:
-                assert decomp == min_fill
+                assert len(calls) == 1 and decomp == min_fill
+            else:
+                assert len(calls) == 2
 
     def test_random_graphs_heuristics_validate(self):
         rng = random.Random(12)
