@@ -239,7 +239,8 @@ class _FixpointSearch:
     the root, the parent's bound below a conjunction, and below a split
     the child's largest lax model in the split's bound, which holds every
     strict labelling.  Rows only accumulate and reach the root, so a state
-    that leaves a bound is dead, and a fixpoint is a strict labelling.
+    that leaves a bound or gives a row to both sides of a split is dead,
+    and a fixpoint is a strict labelling.
     Only the root (one row) and the inclusion atoms guess: the rows that
     one root row generates in a strict labelling form a strict labelling.
     Nothing is kept per row: a guesser keeps its class masks, and each
@@ -319,6 +320,8 @@ class _FixpointSearch:
         for i in reversed(self.live):
             kids = self.ev.kids[i]
             if len(kids) == 2:
+                if new[kids[0]] & new[kids[1]] and type(self.ev.nodes[i]) is Or:
+                    raise _Reject  # sides only grow, so never a partition
                 new[i] |= new[kids[0]] | new[kids[1]]
             else:
                 new[i] = self._repair_atom(i, new[i])
@@ -334,8 +337,6 @@ class _FixpointSearch:
             self.budget.spend()
             add_l = sum(1 << row for row, o in zip(fresh, combo) if not o)
             add_r = sum(1 << row for row, o in zip(fresh, combo) if o)
-            if (base_l | add_l) & (base_r | add_r):
-                continue
             new[left], new[right] = base_l | add_l, base_r | add_r
             yield True
 

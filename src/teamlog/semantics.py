@@ -333,25 +333,22 @@ class TeamEvaluator:
         return result
 
     def _check_split(self, i: int, mask: int) -> bool:
-        # Enumerate left parts as submasks of the team; strict fixes the
-        # right part to the complement, lax lets it grow back into the
-        # left part.  Empty parts are allowed.
+        # Enumerate left parts as submasks of the team; the right part is
+        # the complement, which lax (a cover, not a partition) lets grow
+        # back into the left part.  Empty parts are allowed.
         left, right = self.kids[i]
+        lax = self.mode is SemanticsMode.LAX
         sub = mask
         while True:
             if self.check_at(left, sub):
                 rest = mask ^ sub
-                if self.mode is SemanticsMode.STRICT:
-                    if self.check_at(right, rest):
+                extra = sub if lax else 0
+                while True:
+                    if self.check_at(right, rest | extra):
                         return True
-                else:
-                    extra = sub
-                    while True:
-                        if self.check_at(right, rest | extra):
-                            return True
-                        if extra == 0:
-                            break
-                        extra = (extra - 1) & sub
+                    if extra == 0:
+                        break
+                    extra = (extra - 1) & sub
             if sub == 0:
                 return False
             sub = (sub - 1) & mask

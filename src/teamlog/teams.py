@@ -9,7 +9,7 @@ across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import TeamFormatError, UnknownVariableError
 
@@ -55,21 +55,8 @@ class Team:
             seen.add(row)
         object.__setattr__(self, "rows", tuple(sorted(self.rows)))
 
-    @classmethod
-    def from_assignments(
-        cls, domain: Iterable[str], assignments: Iterable[Mapping[str, int]]
-    ) -> "Team":
-        domain = tuple(domain)
-        rows = []
-        for s in assignments:
-            rows.append(tuple(s[v] for v in domain))
-        return cls(domain, tuple(rows))
-
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __contains__(self, row: Row) -> bool:
-        return row in set(self.rows)
 
     def index(self, var: str) -> int:
         try:
@@ -78,18 +65,6 @@ class Team:
             raise UnknownVariableError(
                 f"variable {var!r} not in team domain {self.domain}"
             ) from None
-
-    def subteam(self, rows: Iterable[Row]) -> "Team":
-        return Team(self.domain, tuple(rows))
-
-    def subteam_mask(self, mask: int) -> "Team":
-        picked = [r for i, r in enumerate(self.rows) if mask >> i & 1]
-        return Team(self.domain, tuple(picked))
-
-    def union(self, other: "Team") -> "Team":
-        if other.domain != self.domain:
-            raise TeamFormatError("cannot union teams with different domains")
-        return Team(self.domain, tuple(set(self.rows) | set(other.rows)))
 
 
 def parse_team(text: str) -> Team:

@@ -66,6 +66,12 @@ def team_from_mask(domain: tuple[str, ...], mask: int) -> Team:
     return Team(domain, rows)
 
 
+def subteam_mask(team: Team, mask: int) -> Team:
+    """The subteam of ``team`` whose rows are the set bits of ``mask``."""
+    return Team(team.domain,
+                tuple(r for i, r in enumerate(team.rows) if mask >> i & 1))
+
+
 def all_teams(domain: tuple[str, ...]):
     """Every team over ``domain``, the empty team included."""
     n = len(domain)

@@ -402,7 +402,7 @@ def test_criterion_09_semantic_laws(capsys):
     def flat(f, t):
         return all(
             evaluate(t, f, mode) == all(
-                evaluate(t.subteam((row,)), f, mode) for row in t.rows
+                evaluate(Team(t.domain, (row,)), f, mode) for row in t.rows
             )
             for mode in MODES
         )
@@ -464,7 +464,8 @@ def test_criterion_09_semantic_laws(capsys):
         )
         sat_teams = [t for t in pool if evaluate(t, f, LAX)]
         for a, b in itertools.combinations(sat_teams[:8], 2):
-            if not evaluate(a.union(b), f, LAX, cap=16):
+            if not evaluate(Team(a.domain, set(a.rows) | set(b.rows)), f,
+                            LAX, cap=16):
                 union_bad += 1
             union_cases += 1
     if union_bad:

@@ -33,7 +33,8 @@ from teamlog.reductions import (
 from teamlog.semantics import SemanticsMode, TeamEvaluator, members
 from teamlog.formulas import node_array, split_count, subformulas
 
-from conftest import all_teams, random_team, reference_atom, reference_lax_max
+from conftest import (all_teams, random_team, reference_atom,
+                      reference_lax_max, subteam_mask)
 
 STRICT = SemanticsMode.STRICT
 LAX = SemanticsMode.LAX
@@ -55,7 +56,7 @@ def reference_table(team, f, mode):
         else:
             masks = frozenset(
                 m for m in all_masks
-                if reference_atom(team.subteam_mask(m), node)
+                if reference_atom(subteam_mask(team, m), node)
             )
         sets[id(node)] = masks
     return sets
@@ -277,6 +278,47 @@ class TestDispatch:
             assert mc(team, f, STRICT) and mc(team, f, LAX)
         finally:
             sys.setrecursionlimit(old)
+
+
+class TestSplitLoop:
+    """``evaluate`` runs one split loop in both modes, which only lax lets
+    grow back into the left part; its answers must be the root of the
+    pairwise joins of :func:`reference_table`.  The random formulas never
+    separate the modes on a whole team; the listed ones do."""
+
+    TEXTS = ["x | y", "(x | !z) | (y | !x)", "=(x; y) | =(y; z)",
+             "inc(y, x; y, z) | inc(x, y; z, x)", "ind(x; y | z) | (x & !y)",
+             "(x | B) & (T | z)", "(inc(x; z) | x) | (inc(y; x) | !y)",
+             "(=(x; y) | z) | (=(z; x) | !y)"]
+
+    @staticmethod
+    def answers(t, f, *context):
+        """The (strict, lax) answers, each checked against the reference."""
+        got = []
+        for mode in (STRICT, LAX):
+            want = (1 << len(t)) - 1 in reference_table(t, f, mode)[id(f)]
+            assert evaluate(t, f, mode) is want, (*context, t.rows, mode)
+            got.append(want)
+        return tuple(got)
+
+    def test_every_team_over_two_and_three_variables(self):
+        seen = set()
+        for text in self.TEXTS:
+            f = parse_formula(text)
+            for t in all_teams(tuple(sorted(variables(f)))):
+                seen.add(self.answers(t, f, text))
+        assert seen == {(False, False), (False, True), (True, True)}
+
+    def test_random_teams(self):
+        rng = random.Random(26)
+        seen = set()
+        for seed in range(300):
+            f = random_formula(RandomFormulaConfig(
+                logic=list(LogicKind)[seed % 4], max_vars=4, max_nodes=11,
+                max_splits=1 + seed % 3, seed=seed))
+            domain = tuple(sorted(set(variables(f)) | {"x1"}))
+            seen.add(self.answers(random_team(rng, domain, max_rows=5), f, seed))
+        assert seen >= {(False, False), (True, True)}
 
 
 class TestOracleEquivalence:

@@ -39,7 +39,8 @@ from teamlog.sat import (
 )
 from teamlog.semantics import SemanticsMode, members
 
-from conftest import all_teams, reference_atom, reference_singleton, subteams
+from conftest import (all_teams, reference_atom, reference_singleton,
+                      subteam_mask, subteams)
 
 STRICT = SemanticsMode.STRICT
 LAX = SemanticsMode.LAX
@@ -187,7 +188,7 @@ class TestSharedSubformula:
             assert table.entries[left][1] == table.entries[right][1]
             root = members(table.bits[0])
             for mask, sub in enumerate(
-                    team.subteam_mask(m) for m in range(1 << len(team))):
+                    subteam_mask(team, m) for m in range(1 << len(team))):
                 want = reference_atom(sub, x)
                 assert evaluate(sub, f, mode) is want
                 assert mc_bottom_up(sub, f, mode) is want

@@ -427,6 +427,26 @@ class TestFixpoint:
             assert set(rows) <= set(members(got))
             assert got.bit_count() <= 2 * len(rows)
 
+    def test_shared_split_row_ends_the_branch(self):
+        # Rows only accumulate, so a state whose split sides share a row
+        # never becomes a strict labelling: the bottom-up round rejects it.
+        # The kids of a conjunction share their rows.
+        def bottom_up(text, state):
+            ev = TeamEvaluator(("x",), [(1,)], parse_formula(text), STRICT)
+            return sat._FixpointSearch(ev, 10, None, 1)._bottom_up(state)
+
+        assert bottom_up("x & x", (0, 1, 1)) == (1, 1, 1)
+        assert bottom_up("x | x", (0, 1, 0)) == (1, 1, 0)
+        with pytest.raises(sat._Reject):
+            bottom_up("x | x", (0, 1, 1))
+
+    def test_separating_formula_within_budget(self):
+        # Rejecting a shared split row once, not once per route through
+        # the split, decides SEPARATING at 6,501 units instead of 8,657.
+        f = parse_formula(SEPARATING)
+        assert sat_fixpoint(f, STRICT, budget=7000).status is UNSAT
+        assert_verified(sat_fixpoint(f, LAX), f, LAX)
+
     def test_builds_only_the_witness_team(self, monkeypatch):
         built = []
         post_init = teams.Team.__post_init__

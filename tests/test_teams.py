@@ -61,30 +61,13 @@ class TestConstruction:
         with pytest.raises(UnknownVariableError):
             t.index("y")
 
-    def test_from_assignments(self):
-        t = Team.from_assignments(("x", "y"), [{"x": 1, "y": 0}])
-        assert t.rows == ((1, 0),)
-
-    def test_subteam_mask(self):
-        t = Team(("x",), ((0,), (1,)))
-        assert t.subteam_mask(0b01).rows == ((0,),)
-        assert t.subteam_mask(0b10).rows == ((1,),)
-        assert t.subteam_mask(0b11).rows == ((0,), (1,))
-
-    def test_union_requires_same_domain(self):
-        t = Team(("x",), ((0,),))
-        u = Team(("x",), ((1,),))
-        assert t.union(u).rows == ((0,), (1,))
-        with pytest.raises(TeamFormatError):
-            t.union(Team(("y",), ()))
-
 
 class TestTextFormat:
     def test_example_team(self, example_team):
         assert example_team.domain == ("x1", "x2", "x3", "x4")
         assert len(example_team) == 2
-        assert (0, 0, 1, 1) in example_team
-        assert (1, 1, 1, 0) in example_team
+        assert (0, 0, 1, 1) in example_team.rows
+        assert (1, 1, 1, 0) in example_team.rows
 
     def test_header_only_is_empty_team(self):
         t = parse_team("x y z\n")
