@@ -400,7 +400,8 @@ class TestSemanticLawsSmall:
             sat = [t for t in all_teams(self.DOMAIN) if evaluate(t, f, LAX)]
             for a in sat:
                 for b in sat:
-                    assert evaluate(Team(a.domain, set(a.rows) | set(b.rows)), f, LAX), (text, a.rows, b.rows)
+                    union = Team(a.domain, set(a.rows) | set(b.rows))
+                    assert evaluate(union, f, LAX), (text, a.rows, b.rows)
 
     def test_two_coherence_of_split_free_pdl(self):
         split_free = [s for s in self.PL + self.PDL if "|" not in s]
