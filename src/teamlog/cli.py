@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-import traceback
 
 from . import __version__
 from .errors import (
@@ -288,6 +287,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except Exception:
         # Any other exception is a fault of the program, never an answer.
+        import traceback
         traceback.print_exc()
         print("internal error", file=sys.stderr)
         return EXIT_INTERNAL

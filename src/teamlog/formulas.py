@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import enum
 import re
-from collections import namedtuple
-from dataclasses import dataclass
-from typing import Union
 
 from .errors import ArityMismatchError, FormulaSyntaxError, MixedAtomsError
+from .records import Record, _set
 
 __all__ = [
     "LogicKind",
@@ -59,66 +57,76 @@ class LogicKind(enum.Enum):
     PIND = "PIND"
 
 
-@dataclass(frozen=True)
-class Top:
+class Top(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Bot:
+class Bot(Record):
     pass
 
 
-@dataclass(frozen=True)
-class VarRef:
-    name: str
+class VarRef(Record):
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     # Atomic negation only: the child is always a variable reference.
-    child: VarRef
+    _fields = ("child",)
+
+    def __init__(self, child: VarRef):
+        _set(self, "child", child)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(Record):
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(Record):
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Dep:
-    xs: VarTuple
-    ys: VarTuple
+class Dep(Record):
+    _fields = ("xs", "ys")
+
+    def __init__(self, xs: VarTuple, ys: VarTuple):
+        _set(self, "xs", xs)
+        _set(self, "ys", ys)
 
 
-@dataclass(frozen=True)
-class Inc:
-    xs: VarTuple
-    ys: VarTuple
+class Inc(Record):
+    _fields = ("xs", "ys")
 
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys):
+    def __init__(self, xs: VarTuple, ys: VarTuple):
+        if len(xs) != len(ys):
             raise ArityMismatchError(
                 f"inclusion atom requires equal tuple lengths, "
-                f"got {len(self.xs)} and {len(self.ys)}"
+                f"got {len(xs)} and {len(ys)}"
             )
+        _set(self, "xs", xs)
+        _set(self, "ys", ys)
 
 
-@dataclass(frozen=True)
-class Indep:
-    xs: VarTuple
-    ys: VarTuple
-    zs: VarTuple
+class Indep(Record):
+    _fields = ("xs", "ys", "zs")
+
+    def __init__(self, xs: VarTuple, ys: VarTuple, zs: VarTuple):
+        _set(self, "xs", xs)
+        _set(self, "ys", ys)
+        _set(self, "zs", zs)
 
 
-Formula = Union[Top, Bot, VarRef, Not, And, Or, Dep, Inc, Indep]
+Formula = Top | Bot | VarRef | Not | And | Or | Dep | Inc | Indep
 
 _ATOM_KINDS = {Dep: LogicKind.PDL, Inc: LogicKind.PINC, Indep: LogicKind.PIND}
 
@@ -303,13 +311,13 @@ def render_formula(f: Formula) -> str:
 _RESERVED = {"T", "B"}
 
 
-_Token = namedtuple("_Token", "kind text pos")
 _PUNCTUATION = {"(": "lparen", ")": "rparen", "&": "amp", "|": "pipe",
                 "!": "bang", ";": "semi", ",": "comma"}
 _UNITS = {"top", "bot", "ident", "bang", "depopen", "incopen", "indopen"}
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, position)`` of each token, then of an ``eof`` one."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -318,12 +326,12 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if c in _PUNCTUATION:
-            tokens.append(_Token(_PUNCTUATION[c], c, i))
+            tokens.append((_PUNCTUATION[c], c, i))
             i += 1
             continue
         if c == "=":
             if i + 1 < n and text[i + 1] == "(":
-                tokens.append(_Token("depopen", "=(", i))
+                tokens.append(("depopen", "=(", i))
                 i += 2
                 continue
             raise FormulaSyntaxError("'=' must start a dependence atom '=('", i)
@@ -332,17 +340,17 @@ def _tokenize(text: str) -> list[_Token]:
             word = m.group()
             end = m.end()
             if word in ("inc", "ind") and end < n and text[end] == "(":
-                tokens.append(_Token(word + "open", word + "(", i))
+                tokens.append((word + "open", word + "(", i))
                 i = end + 1
                 continue
             if word in _RESERVED:
-                tokens.append(_Token("top" if word == "T" else "bot", word, i))
+                tokens.append(("top" if word == "T" else "bot", word, i))
             else:
-                tokens.append(_Token("ident", word, i))
+                tokens.append(("ident", word, i))
             i = end
             continue
         raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("eof", "", n))
+    tokens.append(("eof", "", n))
     return tokens
 
 
@@ -351,17 +359,19 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
 
-    def take(self, kind: str) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
+    def take(self, kind: str) -> str:
+        """The text of the next token, which must be of ``kind``."""
+        found, text, pos = self.tokens[self.pos]
+        if found != kind:
             raise FormulaSyntaxError(
-                f"expected {kind}, found {tok.text or 'end of input'!r}", tok.pos
+                f"expected {kind}, found {text or 'end of input'!r}", pos
             )
         self.pos += 1
-        return tok
+        return text
 
     def parse(self) -> Formula:
         """``conj ('|' conj)*``, ``conj = unit ('&' unit)*``, folded left;
@@ -369,7 +379,7 @@ class _Parser:
         frames: list[tuple] = []
         disj = conj = None
         while True:
-            if self.peek().kind == "lparen":
+            if self.peek() == "lparen":
                 self.take("lparen")
                 frames.append((disj, conj))
                 disj = conj = None
@@ -377,19 +387,19 @@ class _Parser:
             f = self.unit()
             while True:
                 conj = f if conj is None else And(conj, f)
-                if self.peek().kind == "amp":
+                if self.peek() == "amp":
                     self.take("amp")
                     break
                 disj = conj if disj is None else Or(disj, conj)
                 conj = None
-                if self.peek().kind == "pipe":
+                if self.peek() == "pipe":
                     self.take("pipe")
                     break
                 if not frames:
-                    tok = self.peek()
-                    if tok.kind != "eof":
+                    kind, text, pos = self.tokens[self.pos]
+                    if kind != "eof":
                         raise FormulaSyntaxError(
-                            f"unexpected trailing {tok.text!r}", tok.pos)
+                            f"unexpected trailing {text!r}", pos)
                     return disj
                 self.take("rparen")
                 f = disj
@@ -397,44 +407,43 @@ class _Parser:
 
     def unit(self) -> Formula:
         """A constant, literal or dependency atom."""
-        tok = self.peek()
-        if tok.kind not in _UNITS:
+        kind, text, pos = self.tokens[self.pos]
+        if kind not in _UNITS:
             raise FormulaSyntaxError(
-                f"expected a formula, found {tok.text or 'end of input'!r}", tok.pos
+                f"expected a formula, found {text or 'end of input'!r}", pos
             )
-        self.take(tok.kind)
-        if tok.kind == "top":
+        self.take(kind)
+        if kind == "top":
             return Top()
-        if tok.kind == "bot":
+        if kind == "bot":
             return Bot()
-        if tok.kind == "ident":
-            return VarRef(tok.text)
-        if tok.kind == "bang":
-            nxt = self.peek()
-            if nxt.kind != "ident":
+        if kind == "ident":
+            return VarRef(text)
+        if kind == "bang":
+            if self.peek() != "ident":
                 raise FormulaSyntaxError(
-                    "non-atomic negation: '!' may only precede a variable", nxt.pos
+                    "non-atomic negation: '!' may only precede a variable",
+                    self.tokens[self.pos][2]
                 )
-            self.take("ident")
-            return Not(VarRef(nxt.text))
+            return Not(VarRef(self.take("ident")))
         xs = self.vlist()
         self.take("semi")
         ys = self.vlist()
-        if tok.kind == "indopen":
+        if kind == "indopen":
             self.take("pipe")
             zs = self.vlist()
             self.take("rparen")
             return Indep(xs, ys, zs)
         self.take("rparen")
-        return (Dep if tok.kind == "depopen" else Inc)(xs, ys)
+        return (Dep if kind == "depopen" else Inc)(xs, ys)
 
     def vlist(self) -> VarTuple:
-        if self.peek().kind != "ident":
+        if self.peek() != "ident":
             return ()
-        names = [self.take("ident").text]
-        while self.peek().kind == "comma":
+        names = [self.take("ident")]
+        while self.peek() == "comma":
             self.take("comma")
-            names.append(self.take("ident").text)
+            names.append(self.take("ident"))
         return tuple(names)
 
 

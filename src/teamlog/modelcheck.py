@@ -9,7 +9,6 @@ linear in the formula: the paper's FPT algorithm for team size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EnumerationCapError
@@ -18,21 +17,24 @@ from .formulas import (And, Formula, LogicKind, Not, Or, is_split_free,
 from .semantics import (DEFAULT_ENUMERATION_CAP, SemanticsMode, TeamEvaluator,
                         evaluate, lattice, members)
 # Re-exported: the benchmark's tracer tests look eval_atom up on this module.
+from .records import Record, _set
 from .semantics import eval_atom  # noqa: F401
 from .teams import Team
 
 __all__ = ["SatSetTable", "build_sat_table", "mc_bottom_up", "mc"]
 
 
-@dataclass(frozen=True)
-class SatSetTable:
+class SatSetTable(Record):
     """Per-node satisfying subteams, by position: bit ``m`` of ``bits[i]``
     is set iff the subteam with row bitmask ``m`` satisfies ``nodes[i]``
     (``0`` for the variable under a ``!``, which no table reads).  The
     sets of masks are decoded only when asked for."""
 
-    nodes: tuple[Formula, ...]
-    bits: tuple[int, ...]
+    _fields = ("nodes", "bits")
+
+    def __init__(self, nodes: tuple[Formula, ...], bits: tuple[int, ...]):
+        _set(self, "nodes", nodes)
+        _set(self, "bits", bits)
 
     @cached_property
     def entries(self) -> tuple[tuple[Formula, frozenset[int]], ...]:

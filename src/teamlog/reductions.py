@@ -8,8 +8,7 @@ generated (team, formula) pair model checks under strict splits.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from collections.abc import Mapping
 
 from .errors import ResourceBoundError, TeamlogError
 from .formulas import (
@@ -27,6 +26,7 @@ from .formulas import (
     formula_size,
     node_array,
 )
+from .records import Record
 from .teams import Team, _array
 
 __all__ = [
@@ -39,12 +39,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SetSplittingInstance:
-    """A family of subsets of a finite base set."""
+class SetSplittingInstance(Record):
+    """A family of subsets of a finite base set: ``elements``, a tuple of
+    names, and ``sets``, a tuple of frozensets of them."""
 
-    elements: tuple[str, ...]
-    sets: tuple[frozenset[str], ...]
+    _fields = ("elements", "sets")
 
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
@@ -74,7 +73,7 @@ class SetSplittingInstance:
 
 
 def setsplit_brute(inst: SetSplittingInstance, max_elements: int = 20
-                   ) -> Optional[tuple[frozenset[str], frozenset[str]]]:
+                   ) -> tuple[frozenset[str], frozenset[str]] | None:
     """Exhaustively search for a partition meeting every subset on both sides."""
     k = len(inst.elements)
     if k > max_elements:
@@ -148,14 +147,15 @@ def dep_to_indep(f: Formula) -> Formula:
     return out[0]
 
 
-@dataclass(frozen=True)
-class RandomFormulaConfig:
+class RandomFormulaConfig(Record):
+    _fields = ("logic", "max_vars", "max_nodes", "max_arity", "seed",
+               "max_splits")
     logic: LogicKind = LogicKind.PDL
     max_vars: int = 4
     max_nodes: int = 9
     max_arity: int = 2
     seed: int = 0
-    max_splits: Optional[int] = None
+    max_splits: int | None = None
 
 
 def random_formula(cfg: RandomFormulaConfig) -> Formula:

@@ -23,8 +23,6 @@ from __future__ import annotations
 import bisect
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import EngineNotApplicableError, ResourceBoundError
 from .formulas import (
@@ -44,6 +42,7 @@ from .formulas import (
     variables,
 )
 from .modelcheck import build_sat_table
+from .records import Record, _set
 from .semantics import (DEFAULT_ENUMERATION_CAP, SemanticsMode, TeamEvaluator,
                         _bits, lattice, members)
 from .teams import Team
@@ -72,20 +71,20 @@ class SatStatus(enum.Enum):
     RESOURCE_EXHAUSTED = "resource_exhausted"
 
 
-@dataclass(frozen=True)
-class SatResult:
-    status: SatStatus
-    witness: Optional[Team] = None
+class SatResult(Record):
+    _fields = ("status", "witness")
 
-    def __post_init__(self):
-        if self.witness is not None:
-            if self.status is not SatStatus.SATISFIABLE:
-                raise ValueError(f"a {self.status.value} result has no witness")
-            if len(self.witness) == 0:
+    def __init__(self, status: SatStatus, witness: Team | None = None):
+        if witness is not None:
+            if status is not SatStatus.SATISFIABLE:
+                raise ValueError(f"a {status.value} result has no witness")
+            if len(witness) == 0:
                 raise ValueError("a satisfiability witness must be nonempty")
+        _set(self, "status", status)
+        _set(self, "witness", witness)
 
 
-def _all_rows(n: int, count: Optional[int] = None) -> list[tuple[int, ...]]:
+def _all_rows(n: int, count: int | None = None) -> list[tuple[int, ...]]:
     """The first ``count`` (default all) assignments over ``n`` variables,
     ordered as binary numbers."""
     return list(itertools.islice(itertools.product((0, 1), repeat=n), count))
@@ -247,7 +246,7 @@ class _FixpointSearch:
     mirror is looked up when a row is repaired."""
 
     def __init__(self, ev: TeamEvaluator, budget: int,
-                 repair_log: Optional[list], top: int):
+                 repair_log: list | None, top: int):
         self.budget = _Budget(budget)
         self.repair_log = repair_log
         self.ev = ev
@@ -363,7 +362,7 @@ class _FixpointSearch:
                 return
             pos = routes[-1][0] + 1
 
-    def run(self) -> Optional[int]:
+    def run(self) -> int | None:
         """The row mask of the first accepted fixpoint, or None.  The
         guesses turn as an odometer, the root slowest; a wheel that runs
         out restarts its generator and turns the one before it."""
@@ -386,7 +385,7 @@ class _FixpointSearch:
             else:
                 return None
 
-    def _search(self, state: tuple) -> Optional[int]:
+    def _search(self, state: tuple) -> int | None:
         """Depth first, each state expanded once, on a stack of iterators."""
         seen = set()
         stack = [(None, iter((state,)))]
@@ -408,7 +407,7 @@ class _FixpointSearch:
         return None
 
 
-def _row_space(f: Formula, mode: SemanticsMode) -> Optional[TeamEvaluator]:
+def _row_space(f: Formula, mode: SemanticsMode) -> TeamEvaluator | None:
     """An evaluator over the assignments to VAR(f) that agree with the
     labels, in :func:`_all_rows` order; None if the labels clash.
 
@@ -455,8 +454,8 @@ def _row_space(f: Formula, mode: SemanticsMode) -> Optional[TeamEvaluator]:
     return TeamEvaluator(vs, rows, f, mode)
 
 
-def _fixpoint(f: Formula, mode: SemanticsMode, budget: Optional[int],
-              repair_log: Optional[list]) -> SatResult:
+def _fixpoint(f: Formula, mode: SemanticsMode, budget: int | None,
+              repair_log: list | None) -> SatResult:
     """:func:`sat_fixpoint` and :func:`sat_split_free`, for PL and PINC."""
     kind = logic_kind(f)
     if kind not in (LogicKind.PL, LogicKind.PINC):
@@ -478,7 +477,7 @@ def _fixpoint(f: Formula, mode: SemanticsMode, budget: Optional[int],
 
 def sat_fixpoint(f: Formula, mode: SemanticsMode,
                  budget: int = DEFAULT_FIXPOINT_BUDGET,
-                 repair_log: Optional[list] = None) -> SatResult:
+                 repair_log: list | None = None) -> SatResult:
     """PINC satisfiability: a greatest fixpoint, then (strict) a search.
 
     :meth:`TeamEvaluator.max_model` takes the largest lax model in the

@@ -6,7 +6,6 @@ import enum
 import itertools
 import math
 import operator
-from typing import Optional
 
 from .errors import (EngineNotApplicableError, EnumerationCapError,
                      ResourceBoundError, UnknownVariableError)
@@ -245,7 +244,7 @@ class TeamEvaluator:
             conj = self._conjuncts[i] = conjuncts(self.nodes, self.kids, i)
         return conj
 
-    def max_model(self, mask: int, budget: Optional[int] = None,
+    def max_model(self, mask: int, budget: int | None = None,
                   i: int = 0) -> int:
         """The largest subteam of ``mask`` that satisfies the PL or PINC
         node at position ``i`` under lax semantics, whatever :attr:`mode` says.

@@ -10,9 +10,7 @@ subformula relation, ``DEP`` for atom/variable co-occurrence, and
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from heapq import heapify, heappop, heappush
-from typing import Optional
 
 from .errors import ResourceBoundError, UnknownVariableError
 from .formulas import (
@@ -31,6 +29,7 @@ from .formulas import (
     variable_names,
     variables,
 )
+from .records import Record, _set
 from .teams import Team
 
 __all__ = [
@@ -104,7 +103,7 @@ class GaifmanGraph:
         return len(self.adj)
 
 
-def build_gaifman(f: Formula, team: Optional[Team] = None) -> GaifmanGraph:
+def build_gaifman(f: Formula, team: Team | None = None) -> GaifmanGraph:
     """Gaifman graph of the syntax structure of ``f`` (and optionally a team)."""
     gg = GaifmanGraph()
     add_vertex, add_edge = gg.add_vertex, gg.add_edge
@@ -169,10 +168,13 @@ def _add_team(gg: GaifmanGraph, fvars: tuple[str, ...], team: Team) -> None:
             row_adj[vid] = var_adj[cid] = by_value[row[j]]
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
-    bags: tuple[frozenset[str], ...]
-    edges: tuple[tuple[int, int], ...]
+class TreeDecomposition(Record):
+    _fields = ("bags", "edges")
+
+    def __init__(self, bags: tuple[frozenset[str], ...],
+                 edges: tuple[tuple[int, int], ...]):
+        _set(self, "bags", bags)
+        _set(self, "edges", edges)
 
     @property
     def width(self) -> int:
@@ -181,11 +183,10 @@ class TreeDecomposition:
         return max(len(b) for b in self.bags) - 1
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
-    valid: bool
-    width: Optional[int] = None
-    violation: Optional[str] = None
+class DecompositionCheck(Record):
+    _fields = ("valid", "width", "violation")
+    width: int | None = None
+    violation: str | None = None
 
 
 def validate_decomposition(g: GaifmanGraph, d: TreeDecomposition) -> DecompositionCheck:
@@ -280,7 +281,7 @@ def _eliminate_with_fill(work: list[set[int]], fill: list[int], v: int,
     return touched
 
 
-def _eliminate(adj: dict, method: str, order: Optional[list[str]] = None
+def _eliminate(adj: dict, method: str, order: list[str] | None = None
                ) -> TreeDecomposition:
     """Tree decomposition from eliminating the vertices of ``adj`` in turn.
 
@@ -455,25 +456,20 @@ def treewidth_exact(g: GaifmanGraph, max_vertices: int = 16
     return decomp.width, decomp
 
 
-@dataclass(frozen=True)
-class ParameterReport:
+class ParameterReport(Record):
     """The eight instance parameterisations."""
 
-    formula_size: int
-    formula_depth: int
-    num_variables: int
-    num_splits: int
-    arity: int
-    formula_tw: int
-    formula_tw_exact: bool
-    formula_tw_method: str
-    teamsize: Optional[int] = None
-    formula_team_tw: Optional[int] = None
-    formula_team_tw_exact: Optional[bool] = None
+    _fields = ("formula_size", "formula_depth", "num_variables", "num_splits",
+               "arity", "formula_tw", "formula_tw_exact", "formula_tw_method",
+               "teamsize", "formula_team_tw", "formula_team_tw_exact")
+    teamsize: int | None = None
+    formula_team_tw: int | None = None
+    formula_team_tw_exact: bool | None = None
 
     def to_dict(self) -> dict:
         """The fields in order, without those that are None."""
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in zip(self._fields, self._values())
+                if v is not None}
 
 
 def _atom_arity(atom: Formula) -> int:
@@ -482,7 +478,7 @@ def _atom_arity(atom: Formula) -> int:
     return len(atom_variables(atom))
 
 
-def parameters(f: Formula, team: Optional[Team] = None,
+def parameters(f: Formula, team: Team | None = None,
                exact_tw: bool = False) -> ParameterReport:
     """Extract all parameterisations of an instance.
 

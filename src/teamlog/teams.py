@@ -8,10 +8,10 @@ across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import TeamFormatError, UnknownVariableError
+from .records import Record, _set
 
 __all__ = ["Team", "parse_team", "render_team", "team_from_object", "team_to_object"]
 
@@ -26,12 +26,15 @@ def _array(value, kind: type) -> list:
     raise TypeError(f"{value!r} is not an array of {kind.__name__} items")
 
 
-@dataclass(frozen=True)
-class Team:
+class Team(Record):
     """A set of Boolean assignments over a shared variable domain."""
 
-    domain: tuple[str, ...]
-    rows: tuple[Row, ...]
+    _fields = ("domain", "rows")
+
+    def __init__(self, domain: tuple[str, ...], rows: tuple[Row, ...]):
+        _set(self, "domain", domain)
+        _set(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(set(self.domain)) != len(self.domain):
@@ -53,7 +56,7 @@ class Team:
             if row in seen:
                 raise TeamFormatError(f"duplicate row {row}; a team is a set")
             seen.add(row)
-        object.__setattr__(self, "rows", tuple(sorted(self.rows)))
+        _set(self, "rows", tuple(sorted(self.rows)))
 
     def __len__(self) -> int:
         return len(self.rows)

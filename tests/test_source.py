@@ -1,6 +1,8 @@
 """Rules on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import teamlog
@@ -17,6 +19,17 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cli_imports_no_dataclasses_inspect_or_typing():
+    # These modules cost most of the start-up time of a ``teamlog`` call.
+    # ``-S`` skips ``site``, whose hooks may import ``typing`` themselves.
+    src = str(Path(teamlog.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import teamlog.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def _unused_imports(text: str) -> list[str]:
