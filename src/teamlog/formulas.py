@@ -66,47 +66,35 @@ class Bot(Record):
 
 
 class VarRef(Record):
-    _fields = ("name",)
-
     def __init__(self, name: str):
         _set(self, "name", name)
 
 
 class Not(Record):
     # Atomic negation only: the child is always a variable reference.
-    _fields = ("child",)
-
     def __init__(self, child: VarRef):
         _set(self, "child", child)
 
 
 class And(Record):
-    _fields = ("left", "right")
-
     def __init__(self, left: Formula, right: Formula):
         _set(self, "left", left)
         _set(self, "right", right)
 
 
 class Or(Record):
-    _fields = ("left", "right")
-
     def __init__(self, left: Formula, right: Formula):
         _set(self, "left", left)
         _set(self, "right", right)
 
 
 class Dep(Record):
-    _fields = ("xs", "ys")
-
     def __init__(self, xs: VarTuple, ys: VarTuple):
         _set(self, "xs", xs)
         _set(self, "ys", ys)
 
 
 class Inc(Record):
-    _fields = ("xs", "ys")
-
     def __init__(self, xs: VarTuple, ys: VarTuple):
         if len(xs) != len(ys):
             raise ArityMismatchError(
@@ -118,8 +106,6 @@ class Inc(Record):
 
 
 class Indep(Record):
-    _fields = ("xs", "ys", "zs")
-
     def __init__(self, xs: VarTuple, ys: VarTuple, zs: VarTuple):
         _set(self, "xs", xs)
         _set(self, "ys", ys)

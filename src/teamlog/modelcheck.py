@@ -14,10 +14,10 @@ from functools import cached_property
 from .errors import EnumerationCapError
 from .formulas import (And, Formula, LogicKind, Not, Or, is_split_free,
                        logic_kind)
+from .records import Record, _set
 from .semantics import (DEFAULT_ENUMERATION_CAP, SemanticsMode, TeamEvaluator,
                         evaluate, lattice, members)
 # Re-exported: the benchmark's tracer tests look eval_atom up on this module.
-from .records import Record, _set
 from .semantics import eval_atom  # noqa: F401
 from .teams import Team
 
@@ -29,8 +29,6 @@ class SatSetTable(Record):
     is set iff the subteam with row bitmask ``m`` satisfies ``nodes[i]``
     (``0`` for the variable under a ``!``, which no table reads).  The
     sets of masks are decoded only when asked for."""
-
-    _fields = ("nodes", "bits")
 
     def __init__(self, nodes: tuple[Formula, ...], bits: tuple[int, ...]):
         _set(self, "nodes", nodes)

@@ -1,7 +1,7 @@
-"""Immutable value records: fields named in the class tuple ``_fields``,
-equality and hashing by exact type and field values, a dataclass-style
-``repr``, and no code generated at run time.  A hot record stores its
-fields in its own ``__init__`` with ``_set``."""
+"""Immutable value records, with no code generated at run time: the class
+tuple ``_fields`` names the fields, and records compare and hash by exact
+type and field values.  A hot record stores its fields in its own
+``__init__`` with ``_set``, and they are that method's parameters."""
 
 _set = object.__setattr__
 
@@ -9,21 +9,22 @@ _set = object.__setattr__
 class Record:
     _fields: tuple[str, ...] = ()
 
-    def __init__(self, *args, **kwargs):
-        """Fields by position, then by keyword; a field not given takes
-        the class attribute of its name, its default."""
-        cls, names = type(self), self._fields
-        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
-            raise TypeError(f"{cls.__name__}() takes the fields {names}, each once")
-        kwargs.update(zip(names, args))
-        for name in names:
-            if name not in kwargs and not hasattr(cls, name):
-                raise TypeError(f"{cls.__name__}() is missing field {name!r}")
-            _set(self, name, kwargs[name] if name in kwargs else getattr(cls, name))
-        self.__post_init__()
+    def __init_subclass__(cls):
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            cls._fields = init.__code__.co_varnames[1:init.__code__.co_argcount]
 
-    def __post_init__(self):
-        """Checks the fields that :meth:`Record.__init__` stored."""
+    def __init__(self, *args, **kwargs):
+        """Fields by position, then by keyword, then by default: the class
+        attribute of the field's name."""
+        name, names = type(self).__name__, self._fields
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{name}() takes the fields {names}, each once")
+        kwargs.update(zip(names, args))
+        for field in names:
+            if field not in kwargs and not hasattr(self, field):
+                raise TypeError(f"{name}() is missing field {field!r}")
+            _set(self, field, kwargs.get(field, getattr(self, field, None)))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -26,7 +26,7 @@ from .formulas import (
     formula_size,
     node_array,
 )
-from .records import Record
+from .records import Record, _set
 from .teams import Team, _array
 
 __all__ = [
@@ -40,19 +40,19 @@ __all__ = [
 
 
 class SetSplittingInstance(Record):
-    """A family of subsets of a finite base set: ``elements``, a tuple of
-    names, and ``sets``, a tuple of frozensets of them."""
+    """A family of subsets of a finite base set."""
 
-    _fields = ("elements", "sets")
-
-    def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+    def __init__(self, elements: tuple[str, ...],
+                 sets: tuple[frozenset[str], ...]):
+        base = set(elements)
+        if len(base) != len(elements):
             raise TeamlogError("duplicate element in base set")
-        base = set(self.elements)
-        for block in self.sets:
+        for block in sets:
             stray = block - base
             if stray:
                 raise TeamlogError(f"set member(s) {sorted(stray)} outside base set")
+        _set(self, "elements", elements)
+        _set(self, "sets", sets)
 
     @classmethod
     def from_object(cls, obj: Mapping) -> "SetSplittingInstance":

@@ -72,8 +72,6 @@ class SatStatus(enum.Enum):
 
 
 class SatResult(Record):
-    _fields = ("status", "witness")
-
     def __init__(self, status: SatStatus, witness: Team | None = None):
         if witness is not None:
             if status is not SatStatus.SATISFIABLE:

@@ -169,8 +169,6 @@ def _add_team(gg: GaifmanGraph, fvars: tuple[str, ...], team: Team) -> None:
 
 
 class TreeDecomposition(Record):
-    _fields = ("bags", "edges")
-
     def __init__(self, bags: tuple[frozenset[str], ...],
                  edges: tuple[tuple[int, int], ...]):
         _set(self, "bags", bags)
@@ -468,8 +466,7 @@ class ParameterReport(Record):
 
     def to_dict(self) -> dict:
         """The fields in order, without those that are None."""
-        return {k: v for k, v in zip(self._fields, self._values())
-                if v is not None}
+        return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
 def _atom_arity(atom: Formula) -> int:

@@ -29,8 +29,6 @@ def _array(value, kind: type) -> list:
 class Team(Record):
     """A set of Boolean assignments over a shared variable domain."""
 
-    _fields = ("domain", "rows")
-
     def __init__(self, domain: tuple[str, ...], rows: tuple[Row, ...]):
         _set(self, "domain", domain)
         _set(self, "rows", rows)
