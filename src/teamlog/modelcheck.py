@@ -9,8 +9,6 @@ linear in the formula: the paper's FPT algorithm for team size.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .errors import EnumerationCapError
 from .formulas import (And, Formula, LogicKind, Not, Or, is_split_free,
                        logic_kind)
@@ -34,7 +32,7 @@ class SatSetTable(Record):
         _set(self, "nodes", nodes)
         _set(self, "bits", bits)
 
-    @cached_property
+    @property
     def entries(self) -> tuple[tuple[Formula, frozenset[int]], ...]:
         """``(node, satisfying row bitmasks)`` by position."""
         return tuple((n, frozenset(members(b)))

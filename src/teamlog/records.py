@@ -17,13 +17,13 @@ class Record:
     def __init__(self, *args, **kwargs):
         """Fields by position, then by keyword, then by default: the class
         attribute of the field's name."""
-        name, names = type(self).__name__, self._fields
+        record, names = type(self).__name__, self._fields
         if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
-            raise TypeError(f"{name}() takes the fields {names}, each once")
+            raise TypeError(f"{record}() takes the fields {names}, each once")
         kwargs.update(zip(names, args))
         for field in names:
             if field not in kwargs and not hasattr(self, field):
-                raise TypeError(f"{name}() is missing field {field!r}")
+                raise TypeError(f"{record}() is missing field {field!r}")
             _set(self, field, kwargs.get(field, getattr(self, field, None)))
 
     def _values(self) -> tuple:

@@ -13,10 +13,12 @@ from teamlog import (
     RandomFormulaConfig,
     SatResult,
     SatStatus,
+    SemanticsMode,
     SetSplittingInstance,
     Team,
     Top,
     VarRef,
+    build_sat_table,
     parameters,
     parse_formula,
     parse_team,
@@ -32,6 +34,7 @@ RECORDS = [
     Top(), Bot(), X, Not(X), And(X, Y), Or(X, Y), Dep(("x",), ("y",)),
     Inc(("x",), ("y",)), Indep(("x",), ("y",), ()), TEAM,
     SatResult(SatStatus.SATISFIABLE, TEAM),
+    build_sat_table(TEAM, And(X, Y), SemanticsMode.STRICT),
     TreeDecomposition((frozenset({"x"}),), ()),
     DecompositionCheck(True, width=0), RandomFormulaConfig(seed=3),
     SetSplittingInstance(("a", "b"), (frozenset({"a"}),)),
@@ -70,8 +73,12 @@ class TestImmutable:
             record.new_attribute = 1
 
     def test_dict_holds_exactly_the_fields(self):
+        # A hot record's fields are its ``__init__``'s parameters.
         for r in RECORDS:
+            getattr(r, "entries", None)  # a table decodes, caching nothing
             assert list(r.__dict__) == list(r._fields)
+        assert TEAM._fields == ("domain", "rows")
+        assert And._fields == ("left", "right") and Top._fields == ()
 
 
 class TestRepr:
