@@ -53,10 +53,7 @@ from .sat import (
     sat_singleton,
     sat_split_free,
 )
-from .semantics import (
-    SemanticsMode,
-    evaluate,
-)
+from .semantics import SemanticsMode, evaluate
 from .structure import (
     GaifmanGraph,
     ParameterReport,

@@ -346,11 +346,9 @@ class _Parser:
         self.pos = 0
 
     def peek(self) -> str:
-        """The kind of the next token."""
         return self.tokens[self.pos][0]
 
     def take(self, kind: str) -> str:
-        """The text of the next token, which must be of ``kind``."""
         found, text, pos = self.tokens[self.pos]
         if found != kind:
             raise FormulaSyntaxError(

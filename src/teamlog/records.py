@@ -1,7 +1,5 @@
-"""Immutable value records, with no code generated at run time: the class
-tuple ``_fields`` names the fields, and records compare and hash by exact
-type and field values.  A hot record stores its fields in its own
-``__init__`` with ``_set``, and they are that method's parameters."""
+"""Immutable value records with no code generated at run time: ``_fields``
+lists the parameters of a record's own ``__init__``, or is spelled out."""
 
 _set = object.__setattr__
 
@@ -15,24 +13,21 @@ class Record:
             cls._fields = init.__code__.co_varnames[1:init.__code__.co_argcount]
 
     def __init__(self, *args, **kwargs):
-        """Fields by position, then by keyword, then by default: the class
-        attribute of the field's name."""
-        record, names = type(self).__name__, self._fields
-        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
-            raise TypeError(f"{record}() takes the fields {names}, each once")
-        kwargs.update(zip(names, args))
-        for field in names:
-            if field not in kwargs and not hasattr(self, field):
-                raise TypeError(f"{record}() is missing field {field!r}")
-            _set(self, field, kwargs.get(field, getattr(self, field, None)))
+        """Each field by position or keyword, else its class attribute."""
+        names = self._fields
+        given = dict(zip(names, args), **kwargs)
+        if (len(given) < len(args) + len(kwargs) or not given.keys() <= set(names)
+                or not all(n in given or hasattr(self, n) for n in names)):
+            raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+        for name in names:
+            _set(self, name, given[name] if name in given else getattr(self, name))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
+        return (self._values() == other._values() if type(other) is type(self)
+                else NotImplemented)
 
     def __hash__(self):
         return hash(self._values())

@@ -119,7 +119,7 @@ def deep_or_wide(draw):
 
 
 class TestDeepAndWide:
-    # Texts are compared, never ASTs: dataclass ``==`` recurses.
+    # Texts are compared, never ASTs: record ``==`` recurses.
 
     @settings(max_examples=40, deadline=None)
     @given(deep_or_wide())
