@@ -388,7 +388,11 @@ def treewidth_exact(g: GaifmanGraph, max_vertices: int = 16
     """Exact treewidth by branch-and-bound over elimination orders.
 
     The search starts from the min-fill decomposition and keeps it unless
-    it finds a narrower order.
+    it finds a narrower order.  It pops states from one stack: the bitmask
+    of the vertices left (vertex ``i`` is the ``i``-th key of ``g.adj``),
+    their neighbourhood bitmasks, the width and the order so far.  A child
+    copies the neighbourhoods, so nothing is undone, and the vertices left
+    are the memo key: the graph they span does not depend on the order.
     """
     n = len(g)
     if n > max_vertices:
@@ -396,61 +400,41 @@ def treewidth_exact(g: GaifmanGraph, max_vertices: int = 16
             f"graph has {n} vertices; exact treewidth capped at {max_vertices}"
         )
     decomp = _eliminate(g.adj, "min_fill")
-    best = {"width": decomp.width, "order": None}
-    visited: dict[frozenset[str], int] = {}
-
-    def search(adj: dict[str, set[str]], current_max: int, order: list[str]):
-        if current_max >= best["width"]:
-            return
-        if not adj:
-            best["width"] = current_max
-            best["order"] = list(order)
-            return
-        if len(adj) - 1 <= current_max:
-            best["width"] = current_max
-            best["order"] = order + sorted(adj)
-            return
+    best, best_order = decomp.width, None
+    names = list(g.adj)
+    visited: dict[int, int] = {}  # vertices left -> least width seen
+    stack = [((1 << n) - 1, [sum(1 << names.index(u) for u in ns)
+                             for ns in g.adj.values()], 0, [])]
+    while stack:
+        left, nbrs, width, order = stack.pop()
+        if width >= best:
+            continue
+        rest = [v for v in range(n) if left >> v & 1]
+        if len(rest) - 1 <= width:  # what is left fits in one bag
+            best, best_order = width, order + sorted(names[v] for v in rest)
+            continue
+        degree = {v: nbrs[v].bit_count() for v in rest}
         # min degree is a treewidth lower bound for the remaining graph
-        if max(current_max, min(len(ns) for ns in adj.values())) >= best["width"]:
-            return
-        key = frozenset(adj)
-        prev = visited.get(key)
-        if prev is not None and prev <= current_max:
-            return
-        visited[key] = current_max
-
-        def branch(v):
-            # eliminate v in place, search on, then undo the elimination
-            ns = adj.pop(v)
-            added = []
-            for a in ns:
-                adj[a].discard(v)
-                for b in ns:
-                    if b != a and b not in adj[a]:
-                        adj[a].add(b)
-                        added.append((a, b))
-            order.append(v)
-            search(adj, max(current_max, len(ns)), order)
-            order.pop()
-            for a, b in added:
-                adj[a].discard(b)
-            for a in ns:
-                adj[a].add(v)
-            adj[v] = ns
-
-        # a simplicial vertex is always safe to eliminate first
-        for v in list(adj):
-            ns = adj[v]
-            if all(b in adj[a] for a in ns for b in ns if a != b):
-                branch(v)
-                return
-        for v in sorted(adj, key=lambda u: (len(adj[u]), u)):
-            if max(current_max, len(adj[v])) < best["width"]:
-                branch(v)
-
-    search({v: set(ns) for v, ns in g.adj.items()}, 0, [])
-    if best["order"] is not None:  # narrower than min-fill
-        decomp = _eliminate(g.adj, "min_fill", best["order"])
+        if min(degree.values()) >= best or visited.get(left, n) <= width:
+            continue
+        visited[left] = width
+        # a simplicial vertex is always safe to eliminate first; otherwise
+        # push by falling (degree, name), so the least pops first
+        for v in rest:
+            if all(nbrs[v] & ~nbrs[a] == 1 << a for a in rest if nbrs[v] >> a & 1):
+                picks = [v]
+                break
+        else:
+            picks = sorted(rest, key=lambda v: (degree[v], names[v]), reverse=True)
+        for v in picks:
+            ns, child = nbrs[v], nbrs[:]
+            for a in rest:
+                if ns >> a & 1:
+                    child[a] = (child[a] | ns) & ~(1 << a | 1 << v)
+            stack.append((left & ~(1 << v), child, max(width, degree[v]),
+                          order + [names[v]]))
+    if best_order is not None:  # narrower than min-fill
+        decomp = _eliminate(g.adj, "min_fill", best_order)
     return decomp.width, decomp
 
 

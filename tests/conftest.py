@@ -315,3 +315,35 @@ def reference_min_fill(adj: dict[str, set[str]]) -> TreeDecomposition:
 def reference_min_degree(adj: dict[str, set[str]]) -> TreeDecomposition:
     """The min-degree decomposition, rescanning every vertex at each step."""
     return reference_elimination(adj, reference_min_degree_vertex)
+
+
+def reference_treewidth(adj: dict[str, set[str]]) -> int:
+    """Treewidth by the subset recurrence of Bodlaender, Fomin, Koster,
+    Kratsch and Thilikos ("On exact algorithms for treewidth", ESA 2006).
+
+    TW(S) = min over v in S of max(TW(S - v), |Q(S - v, v)|), with
+    TW(empty) = -1, where Q(S, v) is the set of vertices outside S and v
+    that v reaches by paths through S.  The treewidth is TW(V).  Vertex
+    ``i`` is the ``i``-th key of ``adj`` and a set S is a bitmask.
+    """
+    index = {v: i for i, v in enumerate(adj)}
+    nbrs = [[index[u] for u in ns] for ns in adj.values()]
+    n = len(nbrs)
+
+    def reached(s: int, v: int) -> int:  # |Q(s, v)|
+        seen, stack, out = {v}, [v], 0
+        while stack:
+            for u in nbrs[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    if s >> u & 1:
+                        stack.append(u)
+                    else:
+                        out += 1
+        return out
+
+    tw = [-1] * (1 << n)
+    for s in range(1, 1 << n):
+        tw[s] = min(max(tw[s & ~(1 << v)], reached(s & ~(1 << v), v))
+                    for v in range(n) if s >> v & 1)
+    return tw[-1]

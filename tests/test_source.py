@@ -80,9 +80,6 @@ RECURSION_ALLOWED = {
     ("semantics.py", frozenset({"TeamEvaluator.check_at",
                                 "TeamEvaluator._check_split"})):
         "split nesting: each nested split level is one more call",
-    ("structure.py", frozenset({"treewidth_exact.search",
-                                "treewidth_exact.search.branch"})):
-        "depth is the vertex count, at most 16",
     ("reductions.py", frozenset({"random_formula.build"})):
         "depth is bounded by max_nodes",
 }

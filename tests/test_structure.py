@@ -31,6 +31,7 @@ from conftest import (
     reference_gaifman,
     reference_min_degree,
     reference_min_fill,
+    reference_treewidth,
 )
 
 
@@ -375,6 +376,32 @@ class TestTreewidth:
                 assert len(calls) == 1 and decomp == min_fill
             else:
                 assert len(calls) == 2
+
+    def test_exact_matches_reference(self):
+        rng = random.Random(28)
+        graphs = [g for g in structured_graphs(rng) if len(g) <= 10]
+        graphs += [random_graph(rng, rng.randint(0, 10), rng.random())
+                   for _ in range(200)]
+        for seed in range(100):
+            f = random_formula(RandomFormulaConfig(
+                logic=rng.choice(list(LogicKind)), max_vars=rng.randint(1, 4),
+                max_nodes=rng.randint(1, 9), seed=seed,
+            ))
+            graphs += [g for g in (build_gaifman(f),
+                                   build_gaifman(f, random_team(rng, variables(f))))
+                       if len(g) <= 10]
+        assert len(graphs) > 350
+        for g in graphs:
+            assert treewidth_exact(g)[0] == reference_treewidth(g.adj)
+        # min-fill is optimal on all of those; on these two 9-vertex graphs
+        # (every pair but the listed ones is an edge) it is one too wide
+        for missing in ({(4, 2), (5, 2), (6, 2), (7, 3), (8, 0), (8, 7)},
+                        {(1, 0), (5, 1), (6, 1), (6, 4), (7, 1), (7, 2),
+                         (7, 6), (8, 0), (8, 1), (8, 3), (8, 5)}):
+            g = graph_from_edges(9, [(i, j) for i in range(9) for j in range(i)
+                                     if (i, j) not in missing], rng)
+            width = reference_treewidth(g.adj)
+            assert treewidth_exact(g)[0] == width == treewidth_upper(g)[0] - 1
 
     def test_random_graphs_heuristics_validate(self):
         rng = random.Random(12)
