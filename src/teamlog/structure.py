@@ -407,7 +407,7 @@ def treewidth_exact(g: GaifmanGraph, max_vertices: int = 16
                              for ns in g.adj.values()], 0, [])]
     while stack:
         left, nbrs, width, order = stack.pop()
-        if width >= best:
+        if width >= best or visited.get(left, n) <= width:
             continue
         rest = [v for v in range(n) if left >> v & 1]
         if len(rest) - 1 <= width:  # what is left fits in one bag
@@ -415,7 +415,7 @@ def treewidth_exact(g: GaifmanGraph, max_vertices: int = 16
             continue
         degree = {v: nbrs[v].bit_count() for v in rest}
         # min degree is a treewidth lower bound for the remaining graph
-        if min(degree.values()) >= best or visited.get(left, n) <= width:
+        if min(degree.values()) >= best:
             continue
         visited[left] = width
         # a simplicial vertex is always safe to eliminate first; otherwise
@@ -425,12 +425,12 @@ def treewidth_exact(g: GaifmanGraph, max_vertices: int = 16
                 picks = [v]
                 break
         else:
-            picks = sorted(rest, key=lambda v: (degree[v], names[v]), reverse=True)
+            picks = sorted((v for v in rest if degree[v] < best),
+                           key=lambda v: (degree[v], names[v]), reverse=True)
         for v in picks:
-            ns, child = nbrs[v], nbrs[:]
-            for a in rest:
-                if ns >> a & 1:
-                    child[a] = (child[a] | ns) & ~(1 << a | 1 << v)
+            ns = nbrs[v]
+            child = [(m | ns) & ~(1 << a | 1 << v) if ns >> a & 1 else m
+                     for a, m in enumerate(nbrs)]
             stack.append((left & ~(1 << v), child, max(width, degree[v]),
                           order + [names[v]]))
     if best_order is not None:  # narrower than min-fill
