@@ -10,8 +10,7 @@ linear in the formula: the paper's FPT algorithm for team size.
 from __future__ import annotations
 
 from .errors import EnumerationCapError
-from .formulas import (And, Formula, LogicKind, Not, Or, is_split_free,
-                       logic_kind)
+from .formulas import And, Formula, LogicKind, Or, is_split_free, logic_kind
 from .records import Record, _set
 from .semantics import (DEFAULT_ENUMERATION_CAP, SemanticsMode, TeamEvaluator,
                         evaluate, lattice, members)
@@ -78,14 +77,14 @@ def build_sat_table(team: Team, f: Formula, mode: SemanticsMode) -> SatSetTable:
     without = lattice(len(team))[1]
     strict = mode is SemanticsMode.STRICT
     bits = [0] * len(ev.nodes)
-    for i in range(len(bits) - 1, -1, -1):
+    for i in reversed(ev.live):
         t = type(ev.nodes[i])
         if t is And:
             bits[i] = bits[ev.kids[i][0]] & bits[ev.kids[i][1]]
         elif t is Or:
             bits[i] = _join(without, bits[ev.kids[i][0]], bits[ev.kids[i][1]],
                             strict)
-        elif i == 0 or type(ev.nodes[i - 1]) is not Not:
+        else:
             bits[i] = ev.atom_bits(i)
     return SatSetTable(tuple(ev.nodes), tuple(bits))
 

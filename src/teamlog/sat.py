@@ -232,32 +232,24 @@ class _FixpointSearch:
     """The strict-mode search.  States hold a row bitmask over the rows of
     ``ev`` per position of its node array; a negated literal is one atom,
     so the variable position after a negation stays empty.  Splits route
-    each row one way only.  Each node's rows stay in its bound: ``top`` at
-    the root, the parent's bound below a conjunction, and below a split
-    the child's largest lax model in the split's bound, which holds every
-    strict labelling.  Rows only accumulate and reach the root, so a state
-    that leaves a bound or gives a row to both sides of a split is dead,
-    and a fixpoint is a strict labelling.
+    each row one way only.  Each node's rows stay in its ``bound``, the
+    greatest lax labelling (:meth:`TeamEvaluator.lax_labelling`), which
+    holds every strict labelling.  Rows only accumulate and reach the
+    root, so a state that leaves a bound or gives a row to both sides of a
+    split is dead, and a fixpoint is a strict labelling.
     Only the root (one row) and the inclusion atoms guess: the rows that
     one root row generates in a strict labelling form a strict labelling.
     Nothing is kept per row: a guesser keeps its class masks, and each
     mirror is looked up when a row is repaired."""
 
     def __init__(self, ev: TeamEvaluator, budget: int,
-                 repair_log: list | None, top: int):
+                 repair_log: list | None, bound: list[int]):
         self.budget = _Budget(budget)
         self.repair_log = repair_log
         self.ev = ev
-        nodes, kids = ev.nodes, ev.kids
-        self.bound = [top] * len(nodes)
-        for i, t in enumerate(map(type, nodes)):
-            for k in kids[i] if t is And or t is Or else ():
-                self.bound[k] = (self.bound[i] if t is And else
-                                 ev.max_model(self.bound[i], budget, k))
-        self.live = [i for i in range(len(nodes))
-                     if not (i and type(nodes[i - 1]) is Not)]
-        self.guessers = [i for i in self.live
-                         if i == 0 or isinstance(nodes[i], Inc)]
+        self.bound = bound
+        self.guessers = [i for i in ev.live
+                         if i == 0 or isinstance(ev.nodes[i], Inc)]
         self._classes: dict[int, list[int]] = {}
 
     # -- initial guesses ----------------------------------------------------
@@ -314,7 +306,7 @@ class _FixpointSearch:
     def _bottom_up(self, state: tuple) -> tuple:
         self.budget.spend()
         new = list(state)
-        for i in reversed(self.live):
+        for i in reversed(self.ev.live):
             kids = self.ev.kids[i]
             if len(kids) == 2:
                 if new[kids[0]] & new[kids[1]] and type(self.ev.nodes[i]) is Or:
@@ -463,9 +455,10 @@ def _fixpoint(f: Formula, mode: SemanticsMode, budget: int | None,
     if ev is None:
         return SatResult(SatStatus.UNSATISFIABLE)
     try:
-        found = ev.max_model((1 << len(ev.rows)) - 1, budget)
+        bound = ev.lax_labelling((1 << len(ev.rows)) - 1, budget)
+        found = bound[0]
         if found and mode is SemanticsMode.STRICT:
-            found = _FixpointSearch(ev, budget, repair_log, found).run()
+            found = _FixpointSearch(ev, budget, repair_log, bound).run()
     except ResourceBoundError:
         return SatResult(SatStatus.RESOURCE_EXHAUSTED)
     if not found:
@@ -478,13 +471,13 @@ def sat_fixpoint(f: Formula, mode: SemanticsMode,
                  repair_log: list | None = None) -> SatResult:
     """PINC satisfiability: a greatest fixpoint, then (strict) a search.
 
-    :meth:`TeamEvaluator.max_model` takes the largest lax model in the
-    row space of :func:`_row_space`, on ``budget`` units; running out
-    means :attr:`SatStatus.RESOURCE_EXHAUSTED`.  Empty, that model means
-    unsatisfiable in both modes (every strict model is a lax model); in
-    lax mode a nonempty one is the witness.  Otherwise strict mode runs
-    the determinized search inside it, on ``budget`` units, after one more
-    largest lax model per split child, each on ``budget`` units: it
+    :meth:`TeamEvaluator.lax_labelling` takes the greatest lax labelling
+    of the row space of :func:`_row_space`, on ``budget`` units; running
+    out means :attr:`SatStatus.RESOURCE_EXHAUSTED`.  Its root is the
+    largest lax model.  Empty, that model means unsatisfiable in both
+    modes (every strict model is a lax model); in lax mode a nonempty one
+    is the witness.  Otherwise strict mode runs the determinized search
+    inside the labelling, on ``budget`` units of its own: it
     exhausts the initial-guess and split-distribution choices in canonical
     order (smaller guesses first), so the first fixpoint is deterministic.
     ``repair_log`` collects (before, after) team sizes for every

@@ -116,6 +116,9 @@ class TeamEvaluator:
         self.rows = list(rows)
         self.mode = mode
         self.nodes, self.kids = node_array(formula)
+        # All positions but the variable under a ``!``, which is one atom.
+        self.live = [i for i in range(len(self.nodes))
+                     if not (i and type(self.nodes[i - 1]) is Not)]
         self.memo: dict[tuple[int, int], bool] = {}
         self._constraints: list = [None] * len(self.nodes)
         self._conjuncts: list = [None] * len(self.nodes)
@@ -244,72 +247,58 @@ class TeamEvaluator:
             conj = self._conjuncts[i] = conjuncts(self.nodes, self.kids, i)
         return conj
 
-    def max_model(self, mask: int, budget: int | None = None,
-                  i: int = 0) -> int:
-        """The largest subteam of ``mask`` that satisfies the PL or PINC
-        node at position ``i`` under lax semantics, whatever :attr:`mode` says.
+    def max_model(self, mask: int, budget: int | None = None) -> int:
+        """The root of :meth:`lax_labelling`: the largest subteam of
+        ``mask`` that satisfies the formula under lax semantics."""
+        return self.lax_labelling(mask, budget)[0]
 
-        Lax PINC is union closed, so that subteam exists: a greatest
-        fixpoint.  An atom drops the ``a`` of each constraint while the
-        subteam meets ``a`` and misses ``c``; a split or conjunction is a
-        :meth:`_max_walk` on one stack.  Each visit of a node with a
-        nonempty subteam spends one unit of ``budget`` (no limit if
-        ``None``); :class:`ResourceBoundError` says it ran out.
-        """
-        nodes = self.nodes
+    def lax_labelling(self, mask: int, budget: int | None = None) -> list[int]:
+        """The greatest lax labelling inside ``mask``, whatever :attr:`mode`
+        says: a subteam per position, a split's the union of its kids', a
+        conjunction's equal to its kids', each atom's a model of it.  Lax
+        PINC is union closed, so it exists: a greatest fixpoint.  Each round
+        narrows every position bottom-up (an atom drops the ``a`` of each
+        constraint while the subteam meets ``a`` and misses ``c``), then cuts
+        each kid to its parent's subteam, until nothing is cut.  The root is
+        the largest lax model inside ``mask``, and a split's kid its own
+        inside the split's subteam.  Each live position with a nonempty
+        subteam spends one unit of ``budget`` a round (no limit if
+        ``None``); :class:`ResourceBoundError` says it ran out."""
+        nodes, kids, live = self.nodes, self.kids, self.live
         left = math.inf if budget is None else budget
-        stack = []
-        while True:
-            if mask:  # the empty team satisfies every node
+        sub = [mask] * len(nodes)
+        cut = True
+        while cut:
+            for i in reversed(live):
+                m = sub[i]
+                if not m:  # the empty team satisfies every node
+                    continue
                 left -= 1
                 if left < 0:
-                    raise ResourceBoundError("max_model budget exhausted")
+                    raise ResourceBoundError("lax labelling budget exhausted")
                 t = type(nodes[i])
-                if t is And or t is Or:
-                    send = self._max_walk(i, mask).send
-                    stack.append(send)
-                    i, mask = send(None)
-                    continue
-                if t is Dep or t is Indep:
+                if t is And:
+                    sub[i] = m & sub[kids[i][0]] & sub[kids[i][1]]
+                elif t is Or:
+                    sub[i] = m & (sub[kids[i][0]] | sub[kids[i][1]])
+                elif t is Dep or t is Indep:
                     raise EngineNotApplicableError(
-                        "max_model needs a union-closed (PL or PINC) formula")
-                cons = self.constraints(i)
-                before = None
-                while mask != before:
-                    before = mask
-                    for a, _, c in cons:
-                        if mask & a and not mask & c:
-                            mask &= ~a
-            while stack:  # hand ``mask`` back until a walk asks again
-                try:
-                    i, mask = stack[-1](mask)
-                    break
-                except StopIteration as done:
-                    stack.pop()
-                    mask = done.value
-            else:
-                return mask
-
-    def _max_walk(self, i: int, mask: int):
-        """:meth:`max_model` of the split or conjunction at ``i``: yields
-        each ``(kid, subteam)`` call and is sent the kid's answer.  A split
-        unites its kids' answers, skipping the right kid when the left keeps
-        all of ``mask``.  A conjunction cycles through its :func:`conjuncts`
-        until each leaves the subteam unchanged; an answer is its conjunct's
-        own fixpoint, so after a change only the others are asked again."""
-        if type(self.nodes[i]) is Or:
-            left, right = self.kids[i]
-            got = yield left, mask
-            if got != mask:
-                got |= yield right, mask
-            return got
-        conj = self._conjuncts_at(i)
-        k, quiet = 0, len(conj)
-        while quiet and mask:
-            got = yield conj[k], mask
-            quiet = quiet - 1 if got == mask else len(conj) - 1
-            k, mask = (k + 1) % len(conj), got
-        return mask
+                        "a lax labelling needs a PL or PINC formula")
+                else:
+                    cons = self.constraints(i)
+                    before = None
+                    while m != before:
+                        before = m
+                        for a, _, c in cons:
+                            if m & a and not m & c:
+                                m &= ~a
+                    sub[i] = m
+            cut = 0  # the rows cut from the kids of splits and conjunctions
+            for i in live:
+                for k in kids[i] if len(kids[i]) == 2 else ():
+                    cut |= sub[k] & ~sub[i]
+                    sub[k] &= sub[i]
+        return sub
 
     def check_at(self, i: int, mask: int) -> bool:
         """Whether the subteam ``mask`` satisfies the node at position ``i``."""

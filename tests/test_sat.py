@@ -315,18 +315,18 @@ class TestFixpoint:
 
     def test_lax_answers_from_the_largest_model_alone(self):
         # Lax mode never searches, so no inclusion repair is logged.  When
-        # the largest-model walk (3 visits here) runs out of budget, both
-        # modes answer exhausted.
+        # the lax labelling (one round of 7 live positions here) runs out of
+        # budget, both modes answer exhausted.
         f = parse_formula("(inc(x; y) | inc(y; x)) | (inc(x; z) | !z)")
         log = []
         r = sat_fixpoint(f, LAX, repair_log=log)
         assert_verified(r, f, LAX)
         assert len(r.witness) == 8 and log == []
         for mode in (STRICT, LAX):
-            for budget in range(3):
+            for budget in range(7):
                 r = sat_fixpoint(f, mode, budget=budget)
                 assert r.status is SatStatus.RESOURCE_EXHAUSTED, budget
-        assert sat_fixpoint(f, LAX, budget=3).status is SAT
+        assert sat_fixpoint(f, LAX, budget=7).status is SAT
 
     def test_rejects_other_logics(self):
         with pytest.raises(EngineNotApplicableError):
@@ -404,7 +404,7 @@ class TestFixpoint:
             vs = variables(f)
             ev = TeamEvaluator(vs, _all_rows(len(vs)), f, STRICT)
             top = (1 << len(ev.rows)) - 1
-            search = sat._FixpointSearch(ev, 0, None, top)
+            search = sat._FixpointSearch(ev, 0, None, [top])
             return ev, search._repair_atom(0, sum(1 << r for r in rows))
 
         assert repair("inc(x; y)", [0b10])[1] == 1 << 0b10 | 1 << 0b11
@@ -417,7 +417,7 @@ class TestFixpoint:
         ev = TeamEvaluator(("x", "y"), [(0, 1), (1, 0)],
                            parse_formula("inc(x; y)"), STRICT)
         with pytest.raises(sat._Reject):
-            sat._FixpointSearch(ev, 0, None, 0b11)._repair_atom(0, 0b10)
+            sat._FixpointSearch(ev, 0, None, [0b11])._repair_atom(0, 0b10)
         # disjoint tuples always repair, to at most twice the rows
         rng = random.Random(5)
         for _ in range(50):
@@ -433,7 +433,8 @@ class TestFixpoint:
         # The kids of a conjunction share their rows.
         def bottom_up(text, state):
             ev = TeamEvaluator(("x",), [(1,)], parse_formula(text), STRICT)
-            return sat._FixpointSearch(ev, 10, None, 1)._bottom_up(state)
+            search = sat._FixpointSearch(ev, 10, None, ev.lax_labelling(1))
+            return search._bottom_up(state)
 
         assert bottom_up("x & x", (0, 1, 1)) == (1, 1, 1)
         assert bottom_up("x | x", (0, 1, 0)) == (1, 1, 0)
@@ -505,8 +506,8 @@ class TestFixpoint:
             vs = variables(f)
             ev = TeamEvaluator(vs, _all_rows(len(vs)), f, STRICT)
             top = (1 << len(ev.rows)) - 1
-            # the bounds spend their own units; the search spends none here
-            search = sat._FixpointSearch(ev, 1000, None, top)
+            # the labelling takes no budget; the search spends none here
+            search = sat._FixpointSearch(ev, 1000, None, ev.lax_labelling(top))
             seen = []
             monkeypatch.setattr(search, "_search",
                                 lambda state: seen.append(state) and None)

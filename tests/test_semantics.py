@@ -28,8 +28,8 @@ from teamlog.semantics import SemanticsMode, TeamEvaluator, eval_atom, members
 from teamlog.errors import ArityMismatchError
 from teamlog.reductions import RandomFormulaConfig, random_formula
 
-from conftest import (all_teams, random_team, reference_atom, subteam_mask,
-                      subteams)
+from conftest import (all_teams, random_team, reference_atom,
+                      reference_lax_max, subteam_mask, subteams)
 
 STRICT = SemanticsMode.STRICT
 LAX = SemanticsMode.LAX
@@ -282,24 +282,79 @@ class TestMaxModel:
         assert ev.max_model(0, budget=0) == 0  # the empty team visits nothing
 
     def test_conjunction_budget(self):
-        # Over all 8 rows, the conjuncts prune in turn.  Visits: the & once;
-        # then inc(x1; x2) and inc(x2; x3) keep all rows and !x3 drops the
-        # x3 rows; inc(x1; x2) keeps them, inc(x2; x3) drops the x2 rows and
-        # !x3 keeps the rest; inc(x1; x2) drops the x1 rows, and the other
-        # two keep row 000: 1 + 9 visits.
+        # Over all 8 rows, the conjuncts prune in turn.  Each round spends
+        # a unit on each of the five live positions (two &, three atoms):
+        # !x3 drops the x3 rows in round one, inc(x2; x3) the x2 rows in
+        # round two and inc(x1; x2) the x1 rows in round three, and round
+        # four cuts nothing: four rounds of five positions.
         f = parse_formula("inc(x1; x2) & inc(x2; x3) & !x3")
         rows = [(v >> 2, v >> 1 & 1, v & 1) for v in range(8)]
         ev = TeamEvaluator(("x1", "x2", "x3"), rows, f, LAX)
         assert ev.max_model(0xFF) == 0b1
-        assert ev.max_model(0xFF, budget=10) == 0b1
+        assert ev.max_model(0xFF, budget=20) == 0b1
         with pytest.raises(ResourceBoundError):
-            ev.max_model(0xFF, budget=9)
+            ev.max_model(0xFF, budget=19)
 
     def test_rejects_dependence_atoms(self):
         ev = TeamEvaluator(("x", "y"), [(0, 0), (0, 1)],
                            parse_formula("x | =(x; y)"), LAX)
         with pytest.raises(EngineNotApplicableError):
             ev.max_model(0b11)
+
+
+class TestLaxLabelling:
+    """lax_labelling is the greatest lax labelling inside a subteam: the
+    labelling rules hold at every live position, the root is the largest
+    lax model, and each kid of a split holds its own largest lax model
+    inside the split's subteam."""
+
+    def test_rules_root_and_split_kids(self):
+        rng = random.Random(29)
+        shapes = set()
+        for seed in range(300):
+            f = random_formula(RandomFormulaConfig(
+                logic=rng.choice((LogicKind.PL, LogicKind.PINC)), max_vars=4,
+                max_nodes=20, max_splits=4, seed=seed))
+            team = random_team(rng, ("x1", "x2", "x3", "x4"), max_rows=10)
+            ev = TeamEvaluator(team.domain, team.rows, f, LAX)
+
+            def rows(mask):
+                return frozenset(subteam_mask(team, mask).rows)
+
+            full = (1 << len(team)) - 1
+            for mask in (full, rng.getrandbits(len(team))):
+                sub = ev.lax_labelling(mask)
+                assert rows(sub[0]) == reference_lax_max(
+                    subteam_mask(team, mask), f), (seed, mask)
+                for i in ev.live:
+                    t, kids = type(ev.nodes[i]), ev.kids[i]
+                    assert not sub[i] & ~mask, (seed, mask, i)
+                    if t is And:
+                        assert sub[i] == sub[kids[0]] == sub[kids[1]], (
+                            seed, mask, i)
+                    elif t is Or:
+                        assert sub[i] == sub[kids[0]] | sub[kids[1]], (
+                            seed, mask, i)
+                        for k in kids:
+                            assert rows(sub[k]) == reference_lax_max(
+                                subteam_mask(team, sub[i]), ev.nodes[k]), (
+                                seed, mask, k)
+                    else:
+                        assert ev.check_at(i, sub[i]), (seed, mask, i)
+                    shapes.add(t)
+        assert {And, Or, Inc, Not, VarRef} <= shapes
+
+    def test_deep_split_chain_in_one_round(self):
+        # x | (x | ... !x): every x keeps row 1, the !x row 0, and every
+        # split both, so the first round cuts nothing.
+        depth = 3000
+        f = parse_formula("(x | " * depth + "!x" + ")" * depth)
+        ev = TeamEvaluator(("x",), [(0,), (1,)], f, LAX)
+        assert len(ev.live) == 2 * depth + 1
+        sub = ev.lax_labelling(0b11, budget=len(ev.live))
+        assert sub[:2 * depth:2] == [0b11] * depth
+        assert sub[1:2 * depth:2] == [0b10] * depth
+        assert sub[2 * depth] == 0b01
 
 
 class TestEvaluate:
