@@ -11,16 +11,15 @@ Four routes with very different scaling behaviour:
   the assignments that agree with the literal labels of the top-level
   conjuncts as inclusion atoms propagate them, and take the largest lax
   model in it.  That decides lax mode, split-free input, and strict mode
-  when it is empty.  Otherwise strict :func:`sat_fixpoint` runs, inside
-  it, a determinized backtracking search over the choice points of a
-  nondeterministic fixpoint construction: guess a root row and small
-  subteams per inclusion atom, then alternate bottom-up repair/union
-  rounds with top-down copy/routing rounds until the teams stop growing.
+  when it is empty.  Otherwise strict :func:`sat_fixpoint` searches,
+  depth first inside the greatest lax labelling, for the strict
+  labelling that one root row generates: each split sends each row to
+  one side, and each inclusion atom adds one row with the needed
+  y-value.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import itertools
 
@@ -44,7 +43,7 @@ from .formulas import (
 from .modelcheck import build_sat_table
 from .records import Record, _set
 from .semantics import (DEFAULT_ENUMERATION_CAP, SemanticsMode, TeamEvaluator,
-                        _bits, lattice, members)
+                        lattice, members)
 from .teams import Team
 
 __all__ = [
@@ -91,16 +90,6 @@ def _all_rows(n: int, count: int | None = None) -> list[tuple[int, ...]]:
 def _team(vs: tuple[str, ...], rows: list, mask: int) -> Team:
     """The team of the rows that ``mask`` selects."""
     return Team(vs, tuple(map(rows.__getitem__, members(mask))))
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self, amount: int = 1) -> None:
-        self.left -= amount
-        if self.left < 0:
-            raise ResourceBoundError("search budget exhausted")
 
 
 def sat_brute(f: Formula, mode: SemanticsMode,
@@ -198,203 +187,116 @@ def sat_singleton(f: Formula,
 
 
 # ---------------------------------------------------------------------------
-# Determinized fixpoint search for PINC
+# Strict PINC: the labelling that one root row generates
 
-class _Reject(Exception):
-    pass
-
-
-def _walk_guesses(classes: list[int], bound: int):
-    """Yield the masks of at most one row of ``bound`` per class mask, by
-    size, then by ascending row list.  Each size is a depth first walk on
-    masks alone: a state picks the lowest row it may and leaves open only
-    the rows above it, both for the pick's next level and for its siblings."""
-    yield 0
-    for size in range(1, sum(1 for c in classes if c & bound) + 1):
-        stack = [(bound, 0, 0)]  # the rows still open, the rows picked, classes
-        while stack:
-            open_, mask, used = stack.pop()
-            rows = open_ & ~used
-            if rows:
-                low = rows & -rows
-                above = open_ & -(low << 1)
-                stack.append((above, mask, used))
-                if mask.bit_count() + 1 == size:
-                    yield mask | low
-                else:
-                    for c in classes:
-                        if c & low:
-                            stack.append((above, mask | low, used | c))
-                            break
+def _lows(mask: int):
+    """The set bits of ``mask`` as one-bit masks, lowest first, lazily."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
-class _FixpointSearch:
-    """The strict-mode search.  States hold a row bitmask over the rows of
-    ``ev`` per position of its node array; a negated literal is one atom,
-    so the variable position after a negation stays empty.  Splits route
-    each row one way only.  Each node's rows stay in its ``bound``, the
-    greatest lax labelling (:meth:`TeamEvaluator.lax_labelling`), which
-    holds every strict labelling.  Rows only accumulate and reach the
-    root, so a state that leaves a bound or gives a row to both sides of a
-    split is dead, and a fixpoint is a strict labelling.
-    Only the root (one row) and the inclusion atoms guess: the rows that
-    one root row generates in a strict labelling form a strict labelling.
-    Nothing is kept per row: a guesser keeps its class masks, and each
-    mirror is looked up when a row is repaired."""
+def _generate(ev: TeamEvaluator, bound: list[int], budget: int,
+              repair_log: list | None) -> int:
+    """The root mask of the first strict labelling inside ``bound`` that a
+    depth-first generation finds, or 0 if there is none.
 
-    def __init__(self, ev: TeamEvaluator, budget: int,
-                 repair_log: list | None, bound: list[int]):
-        self.budget = _Budget(budget)
-        self.repair_log = repair_log
-        self.ev = ev
-        self.bound = bound
-        self.guessers = [i for i in ev.live
-                         if i == 0 or isinstance(ev.nodes[i], Inc)]
-        self._classes: dict[int, list[int]] = {}
+    A state holds one row mask per position of ``ev``'s node array; the
+    variable after a ``!`` stays empty.  Each row of ``bound[0]``, lowest
+    first, seeds a state.  A state is closed under the rules that need no
+    choice: a conjunction's rows go to both kids, and a kid's rows to its
+    parent.  It is dead if a row leaves its position's bound or both kids
+    of a split hold the same row; rows only accumulate, so neither can be
+    undone.  Otherwise the first open choice in pre-order makes the
+    successors, one at a time: a split's lowest row that neither kid
+    holds goes to a kid whose bound holds it, left first; an inclusion
+    atom that meets a constraint's ``a`` and misses its ``c`` takes one
+    row of ``c`` inside its bound, lowest first.  A state with no open
+    choice is a strict labelling.  Each state spends one unit of
+    ``budget``; :class:`ResourceBoundError` says it ran out.  Each
+    inclusion choice logs ``(k, k + 1)`` to ``repair_log``: the atom's
+    rows before and after it takes one.
 
-    # -- initial guesses ----------------------------------------------------
+    The search keeps one state and a trail of the rows it gave, undone
+    on backtracking, so a path of ``d`` choices costs the rows it adds,
+    not ``d`` copies of the state.  A choice closed in a state opens
+    again only if its own rows grow, so the scan for the next open choice
+    starts at the current one or at the first chooser that grew.
+    """
+    nodes, kids = ev.nodes, ev.kids
+    parent = [-1] * len(nodes)
+    for i in ev.live:
+        for k in kids[i] if len(kids[i]) == 2 else ():
+            parent[k] = i
+    choosers = [i for i in ev.live if type(nodes[i]) in (Or, Inc)]
+    rank = {i: at for at, i in enumerate(choosers)}
+    state = [0] * len(nodes)
+    trail = []  # (position, row) for each row given, in order
 
-    def _candidates(self, i: int):
-        """The initial guesses of the root or inclusion atom at position
-        ``i``, by size, then by ascending row list, walked afresh each time
-        over its class masks cut to its bound, the only list it keeps."""
-        classes = self._classes.get(i)
-        if classes is None:
-            # At most one row per y-value class: the bounded guesses the
-            # correctness argument needs (at most 2^arity rows).  Any other
-            # root has no y-variables, so it guesses one row or none.
-            atom = self.ev.nodes[i]
-            ys = atom.ys if isinstance(atom, Inc) else ()
-            classes = self._classes[i] = [
-                c & self.bound[i] for c in self.ev.value_masks(ys).values()
-                if c & self.bound[i]]
-        return _walk_guesses(classes, self.bound[i])
+    def add(i: int, low: int) -> bool:
+        """Give row ``low`` to position ``i`` and close; False if dead."""
+        todo = [i]
+        for j in todo:
+            if state[j] & low:
+                continue
+            if not bound[j] & low:
+                return False
+            state[j] |= low
+            trail.append((j, low))
+            p = parent[j]
+            if p >= 0:
+                if type(nodes[p]) is Or:
+                    left, right = kids[p]
+                    if state[left] & state[right]:
+                        return False
+                todo.append(p)
+            if type(nodes[j]) is And:
+                todo += kids[j]
+        return True
 
-    # -- rounds -------------------------------------------------------------
-
-    def _mirror(self, i: int, r: int) -> int:
-        """The index of row ``r`` with the x-value of the inclusion atom at
-        position ``i`` copied into the y-positions; one past the last row,
-        in no bound, if that row lies outside the row space.  Found by
-        bisection, so ``ev.rows`` must be sorted, as :func:`_row_space`
-        builds them (:func:`_all_rows` order)."""
-        atom, index, rows = self.ev.nodes[i], self.ev._index, self.ev.rows
-        mirror = list(rows[r])
-        for x, y in zip(atom.xs, atom.ys):
-            mirror[index[y]] = rows[r][index[x]]
-        mirror = tuple(mirror)
-        k = bisect.bisect_left(rows, mirror)
-        return k if k < len(rows) and rows[k] == mirror else len(rows)
-
-    def _repair_atom(self, i: int, rows: int) -> int:
-        # One pass of the mirror rule: each row of an inclusion atom joins
-        # its mirror, the row with its x-value copied into the y-positions.
-        # That satisfies the atom unless its tuples share variables, hence
-        # the re-check.  A literal holds on every subset of its bound.
-        inc = isinstance(self.ev.nodes[i], Inc)
-        repaired = rows
-        if inc and not self.ev.check_at(i, rows):
-            for r in _bits(rows):
-                repaired |= 1 << self._mirror(i, r)
-        if repaired & ~self.bound[i] or (
-                inc and not self.ev.check_at(i, repaired)):
-            raise _Reject
-        if inc and self.repair_log is not None:
-            self.repair_log.append((rows.bit_count(), repaired.bit_count()))
-        return repaired
-
-    def _bottom_up(self, state: tuple) -> tuple:
-        self.budget.spend()
-        new = list(state)
-        for i in reversed(self.ev.live):
-            kids = self.ev.kids[i]
-            if len(kids) == 2:
-                if new[kids[0]] & new[kids[1]] and type(self.ev.nodes[i]) is Or:
-                    raise _Reject  # sides only grow, so never a partition
-                new[i] |= new[kids[0]] | new[kids[1]]
-            else:
-                new[i] = self._repair_atom(i, new[i])
-        return tuple(new)
-
-    def _routes(self, cur: tuple, new: list, s: int):
-        """Route the rows at split ``s`` that neither child holds in
-        ``cur`` left or right, one budget unit a try."""
-        left, right = self.ev.kids[s]
-        base_l, base_r = cur[left], cur[right]
-        fresh = _bits(new[s] & ~(base_l | base_r))
-        for combo in itertools.product((False, True), repeat=len(fresh)):
-            self.budget.spend()
-            add_l = sum(1 << row for row, o in zip(fresh, combo) if not o)
-            add_r = sum(1 << row for row, o in zip(fresh, combo) if o)
-            new[left], new[right] = base_l | add_l, base_r | add_r
-            yield True
-
-    def _top_down(self, cur: tuple):
-        """Yield all successor states: an odometer over the splits in
-        pre-order, the earliest outermost.  After a split chooses, the
-        conjunctions up to the next split copy their rows to both kids."""
-        nodes, kids = self.ev.nodes, self.ev.kids
-        new = list(cur)
-        routes = []
-        pos = 0
-        while True:
-            while pos < len(nodes) and type(nodes[pos]) is not Or:
-                if type(nodes[pos]) is And:
-                    new[kids[pos][0]] = new[kids[pos][1]] = new[pos]
-                pos += 1
-            if pos == len(nodes):
-                yield tuple(new)
-            else:
-                routes.append((pos, self._routes(cur, new, pos)))
-            while routes and not next(routes[-1][1], False):
-                routes.pop()
-            if not routes:
-                return
-            pos = routes[-1][0] + 1
-
-    def run(self) -> int | None:
-        """The row mask of the first accepted fixpoint, or None.  The
-        guesses turn as an odometer, the root slowest; a wheel that runs
-        out restarts its generator and turns the one before it."""
-        guessers = self.guessers
-        wheels = [self._candidates(i) for i in guessers]
-        state = [0] * len(self.ev.nodes)
-        for i, wheel in zip(guessers, wheels):
-            state[i] = next(wheel)
-        while True:
-            witness = self._search(tuple(state))
-            if witness is not None:
-                return witness
-            for k in range(len(guessers) - 1, -1, -1):
-                guess = next(wheels[k], None)
-                if guess is not None:
-                    state[guessers[k]] = guess
-                    break
-                wheels[k] = self._candidates(guessers[k])
-                state[guessers[k]] = next(wheels[k])
-            else:
-                return None
-
-    def _search(self, state: tuple) -> int | None:
-        """Depth first, each state expanded once, on a stack of iterators."""
-        seen = set()
-        stack = [(None, iter((state,)))]
-        while stack:
-            cur, successors = stack[-1]
-            new = next(successors, None)
-            if new is None:
-                stack.pop()
-            elif new == cur:
-                if cur[0]:
-                    return cur[0]
-            elif new not in seen:
-                seen.add(new)
-                try:
-                    nxt = self._bottom_up(new)
-                except _Reject:
-                    continue
-                stack.append((nxt, self._top_down(nxt)))
+    def choice(start: int):
+        """The chooser index and (position, row) successors of the first
+        open choice from chooser ``start`` on, or None if there is none."""
+        for at in range(start, len(choosers)):
+            i = choosers[at]
+            m = state[i]
+            if type(nodes[i]) is Or:
+                left, right = kids[i]
+                free = m & ~(state[left] | state[right])
+                if free:
+                    low = free & -free
+                    return at, iter([(k, low) for k in (left, right)
+                                     if bound[k] & low])
+                continue
+            for a, _, c in ev.constraints(i):
+                if m & a and not m & c:
+                    if repair_log is not None:
+                        repair_log.append((m.bit_count(), m.bit_count() + 1))
+                    return at, ((i, low) for low in _lows(c & bound[i]))
         return None
+
+    # (trail length, chooser index, successors) per open choice
+    stack = [(0, 0, ((0, low) for low in _lows(bound[0])))]
+    while stack:
+        mark, at, successors = stack[-1]
+        for j, low in trail[mark:]:  # undo the previous successor
+            state[j] ^= low
+        del trail[mark:]
+        step = next(successors, None)
+        if step is None:
+            stack.pop()
+            continue
+        budget -= 1
+        if budget < 0:
+            raise ResourceBoundError("search budget exhausted")
+        if add(*step):
+            found = choice(min([at] + [rank[j] for j, _ in trail[mark:]
+                                       if j in rank]))
+            if found is None:
+                return state[0]
+            stack.append((len(trail), *found))
+    return 0
 
 
 def _row_space(f: Formula, mode: SemanticsMode) -> TeamEvaluator | None:
@@ -458,7 +360,7 @@ def _fixpoint(f: Formula, mode: SemanticsMode, budget: int | None,
         bound = ev.lax_labelling((1 << len(ev.rows)) - 1, budget)
         found = bound[0]
         if found and mode is SemanticsMode.STRICT:
-            found = _FixpointSearch(ev, budget, repair_log, bound).run()
+            found = _generate(ev, bound, budget, repair_log)
     except ResourceBoundError:
         return SatResult(SatStatus.RESOURCE_EXHAUSTED)
     if not found:
@@ -476,12 +378,12 @@ def sat_fixpoint(f: Formula, mode: SemanticsMode,
     out means :attr:`SatStatus.RESOURCE_EXHAUSTED`.  Its root is the
     largest lax model.  Empty, that model means unsatisfiable in both
     modes (every strict model is a lax model); in lax mode a nonempty one
-    is the witness.  Otherwise strict mode runs the determinized search
-    inside the labelling, on ``budget`` units of its own: it
-    exhausts the initial-guess and split-distribution choices in canonical
-    order (smaller guesses first), so the first fixpoint is deterministic.
-    ``repair_log`` collects (before, after) team sizes for every
-    inclusion repair.
+    is the witness.  Otherwise strict mode runs :func:`_generate` inside
+    the labelling, on ``budget`` units of its own, one per state.  Every
+    strict model holds the strict labelling that one of its root rows
+    generates, so the search is complete; its choices come in a fixed
+    order, so the witness is deterministic.  ``repair_log`` collects
+    (before, after) team sizes for every inclusion choice.
     """
     return _fixpoint(f, mode, budget, repair_log)
 

@@ -198,6 +198,20 @@ class TestSat:
         assert report["result"]["status"] == "satisfiable"
         assert len(report["result"]["witness"]["rows"]) == 32
 
+    def test_strict_split_witness_within_cap(self, files, capsys):
+        # The left side labels a1..a9 = 1, and each inc(ak; bk) asks for a
+        # row with bk = 1: from the root row with every bk = 0 the search
+        # takes one such row per atom, 10 rows in all, so the strict
+        # re-check of a formula with a split stays within the 16-row cap.
+        f = files("f.tl", "(" + " & ".join(
+            [f"inc(a{k}; b{k})" for k in range(1, 10)]
+            + [f"a{k}" for k in range(1, 10)]) + ") | B")
+        code, report = run(capsys, "sat", f, "--algo", "fixpoint",
+                           "--semantics", "strict")
+        assert code == EXIT_OK
+        assert report["result"]["status"] == "satisfiable"
+        assert len(report["result"]["witness"]["rows"]) == 10
+
     def test_lax_witness_within_cap_is_rechecked_by_tables(
             self, files, capsys, monkeypatch):
         # within the 16-row cap the re-check builds the subteam tables, so

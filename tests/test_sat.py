@@ -32,7 +32,7 @@ from teamlog.sat import (
     sat_singleton,
     sat_split_free,
 )
-from teamlog.semantics import SemanticsMode, TeamEvaluator, members
+from teamlog.semantics import SemanticsMode, TeamEvaluator
 from teamlog.reductions import RandomFormulaConfig, random_formula
 
 from conftest import child_env, reference_brute, reference_singleton
@@ -302,13 +302,13 @@ class TestFixpoint:
 
     def test_strict_model_inside_the_lax_max(self):
         # The largest lax model {01, 10, 11} is no strict model; the search
-        # still finds the strict model {11}.
+        # still finds the strict model {10, 11}.
         f = parse_formula(
             "(inc(x1; x2) & ((inc(x2; x2) | !x1) & ((inc(x1; x2) & x1) | "
             "(x2 & ((inc(x2; x1) | T) & (inc(x2; x1) & (((!x1 | inc(x1; x2))"
             " | inc(x1; x1)) | x1)))))))")
         strict = sat_fixpoint(f, STRICT, budget=4000)
-        assert strict.witness.rows == ((1, 1),)
+        assert strict.witness.rows == ((1, 0), (1, 1))
         lax = sat_fixpoint(f, LAX, budget=4000)
         assert lax.witness.rows == ((0, 1), (1, 0), (1, 1))
         assert not evaluate(lax.witness, f, STRICT)
@@ -388,64 +388,81 @@ class TestFixpoint:
                 if all(row[vs.index(v)] == c for v, c in labels.items())]
 
     def test_repair_log_bound(self):
+        # The root row 10 leaves inc(x; y) one row short: it takes 11.
         log = []
-        f = parse_formula("(!y & inc(x; y)) | inc(y; x)")
-        sat_fixpoint(f, STRICT, repair_log=log)
-        assert log, "expected at least one inclusion repair"
+        f = parse_formula("x & inc(x; y)")
+        r = sat_fixpoint(f, STRICT, repair_log=log)
+        assert r.witness.rows == ((1, 0), (1, 1))
+        assert log == [(1, 2)]
         for before, after in log:
             assert after <= 2 * before
 
-    def test_mirror_repair_is_one_pass(self):
-        # The search's inclusion repair adds to each row its mirror, the
-        # row with the x-value copied into the y-positions, and rejects
-        # the state if the atom still fails.  Rows are binary numbers.
-        def repair(text, rows):
-            f = parse_formula(text)
-            vs = variables(f)
-            ev = TeamEvaluator(vs, _all_rows(len(vs)), f, STRICT)
-            top = (1 << len(ev.rows)) - 1
-            search = sat._FixpointSearch(ev, 0, None, [top])
-            return ev, search._repair_atom(0, sum(1 << r for r in rows))
-
-        assert repair("inc(x; y)", [0b10])[1] == 1 << 0b10 | 1 << 0b11
-        assert repair("inc(x; y)", [0b11])[1] == 1 << 0b11
-        # overlapping tuples: 100 gains 110, whose x-value 11 is no y-value
-        with pytest.raises(sat._Reject):
-            repair("inc(a, b; b, c)", [0b100])
-        # a mirror outside the row space lies in no bound: 10 needs 11
-        # (the rows sorted, as the mirror lookup bisects them)
-        ev = TeamEvaluator(("x", "y"), [(0, 1), (1, 0)],
-                           parse_formula("inc(x; y)"), STRICT)
-        with pytest.raises(sat._Reject):
-            sat._FixpointSearch(ev, 0, None, [0b11])._repair_atom(0, 0b10)
-        # disjoint tuples always repair, to at most twice the rows
-        rng = random.Random(5)
-        for _ in range(50):
-            rows = rng.sample(range(16), rng.randint(1, 5))
-            ev, got = repair("inc(a, b; c, d)", rows)
-            assert ev.check_at(0, got)
-            assert set(rows) <= set(members(got))
-            assert got.bit_count() <= 2 * len(rows)
+    def test_row_outside_its_bound_is_dead(self):
+        # Hand-made bounds: the lax labelling never lets a chosen row leave
+        # a bound, but the search must not trust it to.  A conjunction gives
+        # its rows to both kids, so a kid whose bound misses the root row
+        # kills the state, one unit spent.
+        ev = TeamEvaluator(("x",), [(1,)], parse_formula("x & x"), STRICT)
+        assert sat._generate(ev, [1, 1, 1], 1, None) == 1
+        assert sat._generate(ev, [1, 1, 0], 1, None) == 0
+        with pytest.raises(ResourceBoundError):
+            sat._generate(ev, [1, 1, 0], 0, None)
+        # A kid's rows go to its parent: row 10 goes left, where inc(x; y)
+        # takes 11, which the root's bound misses; 10 then goes right.
+        # Four states: the seed, left, 11 (dead) and right.
+        rows = _all_rows(2)
+        ev = TeamEvaluator(("x", "y"), rows, parse_formula("inc(x; y) | T"),
+                           STRICT)
+        assert sat._generate(ev, [0b0100, 0b1100, 0b0100], 4, None) == 0b0100
+        assert sat._generate(ev, [0b1100, 0b1100, 0b0100], 3, None) == 0b1100
 
     def test_shared_split_row_ends_the_branch(self):
-        # Rows only accumulate, so a state whose split sides share a row
-        # never becomes a strict labelling: the bottom-up round rejects it.
-        # The kids of a conjunction share their rows.
-        def bottom_up(text, state):
-            ev = TeamEvaluator(("x",), [(1,)], parse_formula(text), STRICT)
-            search = sat._FixpointSearch(ev, 10, None, ev.lax_labelling(1))
-            return search._bottom_up(state)
+        # !e & inc(e; a) & inc(e; b) asks for a row with a = 0 and one with
+        # b = 0, so the split gets 01 and 10 (00 fits neither side); each
+        # side's inclusion atom then asks for 11, which a strict split
+        # gives to one side only.  Every branch ends at a shared row.
+        f = parse_formula("!e & inc(e; a) & inc(e; b) & "
+                          "((a & inc(a; b)) | (b & inc(b; a)))")
+        ev = _row_space(f, STRICT)
+        bound = ev.lax_labelling((1 << len(ev.rows)) - 1)
+        assert bound[0] == 0b1110
+        assert sat._generate(ev, bound, 100, None) == 0
+        assert sat_fixpoint(f, STRICT, budget=100).status is UNSAT
+        lax = sat_fixpoint(f, LAX)
+        assert lax.witness.rows == ((0, 1, 0), (1, 0, 0), (1, 1, 0))
+        assert not evaluate(lax.witness, f, STRICT)
 
-        assert bottom_up("x & x", (0, 1, 1)) == (1, 1, 1)
-        assert bottom_up("x | x", (0, 1, 0)) == (1, 1, 0)
-        with pytest.raises(sat._Reject):
-            bottom_up("x | x", (0, 1, 1))
+    def test_choices_in_pre_order(self):
+        # Rows 100, 101, 110, 111 over (x, y, z).  The first open choice in
+        # pre-order is taken first.  inc(x; y) takes the lowest row with
+        # y = 1, 110; inc(x, x; y, z) takes 111, which serves inc(x; y) as
+        # well when it comes first.  A split sends a row left first.
+        cases = {
+            "x & inc(x; y) & inc(x, x; y, z)": [0b100, 0b110, 0b111],
+            "x & inc(x, x; y, z) & inc(x; y)": [0b100, 0b111],
+            "x & inc(x; y) & (inc(x, x; y, z) | T)": [0b100, 0b110, 0b111],
+            "x & (inc(x, x; y, z) | T) & inc(x; y)": [0b100, 0b111],
+            "x & (T | inc(x, x; y, z)) & inc(x; y)": [0b100, 0b110],
+        }
+        for text, rows in cases.items():
+            r = sat_fixpoint(parse_formula(text), STRICT, budget=100)
+            assert r.witness.domain == ("x", "y", "z"), text
+            assert r.witness.rows == tuple(
+                (row >> 2, row >> 1 & 1, row & 1) for row in rows), text
 
     def test_separating_formula_within_budget(self):
-        # A shared split row is rejected once, in the bottom-up round, and
-        # costs no route through the split: SEPARATING takes 6,501 units.
+        # The lax labelling takes two rounds of 17 live positions, 34 units;
+        # the search then spends 21 of its own, one per state, over the
+        # three root rows.
         f = parse_formula(SEPARATING)
-        assert sat_fixpoint(f, STRICT, budget=7000).status is UNSAT
+        assert sat_fixpoint(f, STRICT, budget=33).status is EXHAUSTED
+        assert sat_fixpoint(f, STRICT, budget=34).status is UNSAT
+        ev = _row_space(f, STRICT)
+        bound = ev.lax_labelling((1 << len(ev.rows)) - 1)
+        assert bound[0].bit_count() == 3
+        with pytest.raises(ResourceBoundError):
+            sat._generate(ev, bound, 20, None)
+        assert sat._generate(ev, bound, 21, None) == 0
 
     def test_builds_only_the_witness_team(self, monkeypatch):
         built = []
@@ -457,11 +474,14 @@ class TestFixpoint:
 
         monkeypatch.setattr(teams.Team, "__post_init__", counted)
         repairs = 0
-        for seed in range(40):
+        for seed in range(100):
+            # A root row with x2 = 0 or x3 = 0 makes an inclusion choice.
             f = random_formula(RandomFormulaConfig(
                 logic=LogicKind.PINC, max_vars=3, max_nodes=9, seed=seed,
                 max_splits=2,
             ))
+            f = parse_formula(
+                f"x1 & inc(x1; x2) & inc(x1; x3) & ({render_formula(f)})")
             for mode in (STRICT, LAX):
                 log = []
                 built.clear()
@@ -470,59 +490,12 @@ class TestFixpoint:
                 assert len(built) == (r.witness is not None), (seed, mode)
         assert repairs > 100
 
-    def test_guesses_in_sorted_product_order(self):
-        # The order oracle: every pick of at most one row of the bound per
-        # class, sorted by size and then by ascending row list.  The bound
-        # holds all rows or a sample of them, so some classes meet none.
-        rng = random.Random(5)
-        outside = 0
-        for k in range(600):
-            count = rng.randint(1, 4)
-            ycls = [rng.randrange(count) for _ in range(rng.randint(0, 10))]
-            bound = sum(1 << r for r in rng.sample(range(len(ycls)),
-                                                   rng.randint(0, len(ycls))))
-            if k % 3 == 0:
-                bound = (1 << len(ycls)) - 1
-            classes = [sum(1 << r for r, y in enumerate(ycls) if y == c)
-                       for c in range(count)]
-            outside += any(c and not c & bound for c in classes)
-            picks = [[0] + [1 << r for r in semantics._bits(m & bound)]
-                     for m in classes]
-            expected = sorted(
-                (sum(combo) for combo in itertools.product(*picks)),
-                key=lambda m: (m.bit_count(), semantics._bits(m)))
-            assert list(sat._walk_guesses(classes, bound)) == expected, (
-                ycls, bound)
-        assert outside > 50
-
-    def test_guesses_turn_as_an_odometer(self, monkeypatch):
-        # run() visits the product of the atoms' guesses in the order of
-        # itertools.product: the last atom fastest, each restarting.
-        for seed in range(20):
-            f = random_formula(RandomFormulaConfig(
-                logic=LogicKind.PINC, max_vars=2, max_nodes=9, seed=seed,
-                max_splits=2,
-            ))
-            vs = variables(f)
-            ev = TeamEvaluator(vs, _all_rows(len(vs)), f, STRICT)
-            top = (1 << len(ev.rows)) - 1
-            # the labelling takes no budget; the search spends none here
-            search = sat._FixpointSearch(ev, 1000, None, ev.lax_labelling(top))
-            seen = []
-            monkeypatch.setattr(search, "_search",
-                                lambda state: seen.append(state) and None)
-            assert search.run() is None
-            wheels = [list(search._candidates(i)) for i in search.guessers]
-            assert seen == [
-                tuple(dict(zip(search.guessers, combo)).get(i, 0)
-                      for i in range(len(search.ev.nodes)))
-                for combo in itertools.product(*wheels)], seed
-
     def test_huge_guess_space_spends_budget(self):
-        # Inside its bound one inclusion atom has 163 million initial
-        # guesses at 40 nodes, seed 1438, too many to hold at once.  Under
-        # a 1 GB address-space limit the search must spend its budget on
-        # it and find models of seeds 501 (6 rows) and 504 (1 row).
+        # Inside its bound one inclusion atom of seed 1438 (40 nodes) meets
+        # 163 million subteams of at most one row per y-value, too many to
+        # hold at once; the search takes one row at a time.  Under a 1 GB
+        # address-space limit it finds models of seeds 1438 (9 rows), 501
+        # and 504 (1 row each).
         code = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -542,15 +515,15 @@ for nodes, seed in ((40, 1438), (30, 501), (30, 504)):
         proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["resource_exhausted", "True", "None",
-                                       "satisfiable", "True", "6",
+        assert proc.stdout.split() == ["satisfiable", "True", "9",
+                                       "satisfiable", "True", "1",
                                        "satisfiable", "True", "1"]
 
     def test_root_seed_is_walked_lazily(self):
         # A chain of inclusion atoms over 17 free variables and a split of
         # x1 against !x1: each literal's bound holds 2^16 rows, too many to
         # hold as one 2^17-bit mask each under a 1 GB address-space limit.
-        # Only the root guesses rows, one at a time.
+        # The root rows are walked one at a time.
         code = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -569,8 +542,8 @@ print(r.status.value, evaluate(r.witness, f, SemanticsMode.STRICT))
 
     def test_eighteen_variable_probe_fits_in_256_mb(self):
         # The same chain over 18 variables: 2^17 rows per literal bound.
-        # The guesses walk class masks and the mirrors are looked up per
-        # row, so no guesser holds a list or dict over its bound's rows.
+        # A state holds one row mask per position, and nothing holds a list
+        # or dict over a bound's rows.
         code = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
@@ -586,14 +559,34 @@ print(sat_fixpoint(f, SemanticsMode.STRICT, budget=1000).status.value)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["satisfiable"]
 
+    def test_deep_split_chain_fits_in_256_mb(self):
+        # x1 under 6000 left-nested splits: the root row is routed down all
+        # 6000 splits, one state each.  The search keeps one state and a
+        # trail of the rows it gave, so the path costs its rows, not 6000
+        # copies of a 12,001-position state, and the scan for an open
+        # choice resumes where it stopped.
+        code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+from teamlog import parse_formula
+from teamlog.sat import sat_fixpoint
+from teamlog.semantics import SemanticsMode
+f = parse_formula("(" * 6000 + "x1" + " | x1)" * 6000)
+r = sat_fixpoint(f, SemanticsMode.STRICT)
+print(r.status.value, r.witness.rows)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["satisfiable", "((1,),)"]
+
     def test_separating_formulas_match_strict_tables(self):
         # Strict and lax PINC differ on SEPARATING: its labels leave one
         # row per value of ab, inc(e; a) and inc(e; b) need 01 and 10, each
         # fits one side only, and then both sides need 11.  Draws rename the
         # variables, flip every literal (an equivalent formula) or one
         # label, and drop or add one atom.  The strict answer must match a
-        # table over every subteam of the row space.  An added inclusion
-        # atom multiplies the guesses, hence the draws' larger budget.
+        # table over every subteam of the row space.
         def table_sat(f, mode, ev):
             team = Team(ev.domain, ev.rows)
             return build_sat_table(team, f, mode).bits[0] >> 1 != 0
@@ -628,7 +621,7 @@ print(sat_fixpoint(f, SemanticsMode.STRICT, budget=1000).status.value)
             ev = _row_space(f, STRICT)
             assert len(ev.rows) <= 16
             lax, strict = table_sat(f, LAX, ev), table_sat(f, STRICT, ev)
-            got = sat_fixpoint(f, STRICT, budget=100_000)
+            got = sat_fixpoint(f, STRICT, budget=4000)
             assert got.status is (SAT if strict else UNSAT), render_formula(f)
             if strict:
                 assert_verified(got, f, STRICT)
@@ -647,7 +640,7 @@ print(sat_fixpoint(f, SemanticsMode.STRICT, budget=1000).status.value)
     ])
     def test_strict_model_found_early(self, text):
         # Both once spent the whole default budget; the bounds of their
-        # split children leave few guesses.
+        # split children leave few rows to choose.
         r = sat_fixpoint(parse_formula(text), STRICT, budget=4000)
         assert r.witness.rows == ((0, 0, 0, 0),)
 
@@ -662,8 +655,8 @@ print(sat_fixpoint(f, SemanticsMode.STRICT, budget=1000).status.value)
 
     def test_search_checks_only_inclusion_atoms(self, monkeypatch):
         # Seeds of a strict family, two literals prepended on odd seeds:
-        # every answer is decided at budget 4000, and the search checks no
-        # literal, constant, conjunction or split.
+        # every answer is decided at budget 4000, and the search reads the
+        # constraints of the inclusion atoms, so it checks no node at all.
         checked = set()
         check_at = TeamEvaluator.check_at
 
@@ -685,7 +678,7 @@ print(sat_fixpoint(f, SemanticsMode.STRICT, budget=1000).status.value)
                 lits.append(f"({render_formula(f)})")
                 f = parse_formula(" & ".join(lits))
             found.append((f, sat_fixpoint(f, STRICT, budget=4000)))
-        assert checked == {Inc}
+        assert checked == set()
         monkeypatch.undo()
         for f, r in found:
             assert r.status is not EXHAUSTED, render_formula(f)
